@@ -26,10 +26,12 @@ from .duality import (
     Exactness,
     LatticeEngine,
     delta_via_dual,
+    from_dual_valuation,
     gamma_via_dual,
     price_currency_put_approx,
     price_via_dual,
     to_dual,
+    valuation_via_dual,
 )
 from .errors import (
     HedgeConstraintError,
@@ -52,13 +54,12 @@ from .hedge import (
 )
 from .lattice import (
     BACKEND,
-    ExerciseHint,
     LatticeParams,
     build_lattice,
-    early_exercise_hint,
     lattice_delta,
     lattice_gamma,
     lattice_price,
+    lattice_valuation,
 )
 from .simulate import SimConfig, SimSummary, gbm_terminal, normal_draws, run_hedge_sim
 

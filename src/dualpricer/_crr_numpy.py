@@ -1,8 +1,7 @@
-"""Vectorized fallback for the binomial backward-induction kernel.
+"""Vectorized binomial backward-induction kernel.
 
-Mirrors the compiled kernel in ``_crr_core`` operation for operation so the
-two backends agree to rounding noise.  Selected at import time by
-``lattice`` when the extension is unavailable.
+The only induction kernel; ``lattice`` calls it once per tree.  Each step
+is one numpy slice update over the surviving nodes.
 """
 
 import numpy as np

@@ -43,12 +43,20 @@ class ExerciseStyle(enum.Enum):
     AMERICAN = "american"
 
 
+def _require_finite_positive(obj, names):
+    for name in names:
+        value = getattr(obj, name)
+        if not (value > 0 and math.isfinite(value)):
+            raise PricingError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class MarketState:
     """Spot, rates, and volatility seen by one pricing call.
 
     ``dividend_yield`` doubles as the foreign rate for currency options.
     Rates may be zero or negative; spot and volatility must be positive.
+    All four must be finite.
     """
 
     spot: float
@@ -57,10 +65,7 @@ class MarketState:
     vol: float
 
     def __post_init__(self):
-        if not self.spot > 0:
-            raise PricingError(f"spot must be positive, got {self.spot}")
-        if not self.vol > 0:
-            raise PricingError(f"vol must be positive, got {self.vol}")
+        _require_finite_positive(self, ("spot", "vol"))
         for name in ("rate", "dividend_yield"):
             if not math.isfinite(getattr(self, name)):
                 raise PricingError(f"{name} must be finite")
@@ -76,10 +81,7 @@ class OptionSpec:
     maturity: float
 
     def __post_init__(self):
-        if not self.strike > 0:
-            raise PricingError(f"strike must be positive, got {self.strike}")
-        if not self.maturity > 0:
-            raise PricingError(f"maturity must be positive, got {self.maturity}")
+        _require_finite_positive(self, ("strike", "maturity"))
 
 
 @dataclass(frozen=True)

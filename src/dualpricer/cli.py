@@ -20,9 +20,8 @@ from .analytic import ExerciseStyle, MarketState, OptionRight, OptionSpec
 from .duality import (
     AnalyticEngine,
     LatticeEngine,
-    delta_via_dual,
-    gamma_via_dual,
     price_via_dual,
+    valuation_via_dual,
 )
 from .errors import PricingError
 from .hedge import (
@@ -132,19 +131,25 @@ def cmd_price(args) -> int:
     else:
         engine = AnalyticEngine()
 
-    direct = engine.price(spec, mkt)
+    if args.greeks:
+        direct, delta, gamma = engine.valuation(spec, mkt)
+    else:
+        direct = engine.price(spec, mkt)
     print(f"direct price: {direct:.3f}")
     if args.greeks:
-        print(f"direct delta: {engine.delta(spec, mkt):.4f}")
-        print(f"direct gamma: {engine.gamma(spec, mkt):.4f}")
+        print(f"direct delta: {delta:.4f}")
+        print(f"direct gamma: {gamma:.4f}")
     if args.dual:
-        dual = price_via_dual(spec, mkt, engine)
+        if args.greeks:
+            dual, dual_delta, dual_gamma = valuation_via_dual(spec, mkt, engine)
+        else:
+            dual = price_via_dual(spec, mkt, engine)
         scale = max(abs(direct), 1e-300)
         print(f"dual price:   {dual:.3f}")
         print(f"relative discrepancy: {abs(dual - direct) / scale:.2e}")
         if args.greeks:
-            print(f"dual delta:   {delta_via_dual(spec, mkt, engine):.4f}")
-            print(f"dual gamma:   {gamma_via_dual(spec, mkt, engine):.4f}")
+            print(f"dual delta:   {dual_delta:.4f}")
+            print(f"dual gamma:   {dual_gamma:.4f}")
     return 0
 
 
@@ -211,7 +216,9 @@ def cmd_hedge(args) -> int:
         rate=_pick(values, "rate", args.rate, d.rate),
         dividend_yield=_pick(values, "yield", args.dividend_yield, d.dividend_yield),
     )
-    scheme = HedgeScheme(_pick(values, "scheme", args.scheme, "bsm-dual", cast=str))
+    scheme = HedgeScheme(
+        _pick(values, "scheme", args.scheme, "bsm-dual", cast=HedgeScheme)
+    )
     weights = solve_weights(cfg, scheme)
     print(f"scheme: {scheme.value}")
     print(

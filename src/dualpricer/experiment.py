@@ -1,8 +1,8 @@
 """Flat key-value experiment files.
 
 One experiment per file: a command name plus string-valued settings that
-the CLI treats as flag defaults.  Values stay strings end to end so a file
-written by ``dumps`` reads back identically.
+the CLI treats as flag defaults.  Values stay strings until the CLI casts
+each one to the type of the flag it stands in for.
 
 Format, one pair per line::
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .errors import PricingError
 
-__all__ = ["ExperimentConfig", "loads", "dumps", "load_file", "save_file"]
+__all__ = ["ExperimentConfig", "loads", "load_file"]
 
 
 @dataclass(frozen=True)
@@ -35,12 +35,6 @@ class ExperimentConfig:
                 raise PricingError(
                     f"experiment value for {key!r} must be a single trimmed line"
                 )
-
-
-def dumps(cfg: ExperimentConfig) -> str:
-    lines = [f"command = {cfg.command}"]
-    lines += [f"{key} = {value}" for key, value in cfg.values.items()]
-    return "\n".join(lines) + "\n"
 
 
 def loads(text: str) -> ExperimentConfig:
@@ -67,8 +61,3 @@ def loads(text: str) -> ExperimentConfig:
 def load_file(path: str) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return loads(fh.read())
-
-
-def save_file(cfg: ExperimentConfig, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(cfg))

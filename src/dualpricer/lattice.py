@@ -1,40 +1,31 @@
 """Recombining binomial-tree pricing of American and European options.
 
 Tree Greeks are read off the step-1 and step-2 nodes and quoted at time 0,
-which is the convention the rest of the package validates against.  The
-induction kernel is compiled when the extension built from
-``_crr_core.pyx`` is importable; otherwise the numpy fallback is used.
-Set ``DUALPRICER_NO_EXTENSION=1`` to force the fallback.
+which is the convention the rest of the package validates against.  One
+backward induction gives all the nodes that price, delta and gamma need,
+so ``lattice_valuation`` returns the three together.  The induction runs
+in the numpy kernel ``_crr_numpy``.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
+from . import _crr_numpy as _kernel
 from .analytic import ExerciseStyle, MarketState, OptionRight, OptionSpec
 from .errors import NoArbitrageError, PricingError
-
-if os.environ.get("DUALPRICER_NO_EXTENSION"):
-    from . import _crr_numpy as _kernel
-else:
-    try:
-        from . import _crr_core as _kernel  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _crr_numpy as _kernel
 
 BACKEND = _kernel.NAME
 
 __all__ = [
     "BACKEND",
     "LatticeParams",
-    "ExerciseHint",
     "build_lattice",
     "lattice_price",
+    "lattice_valuation",
     "lattice_delta",
     "lattice_gamma",
-    "early_exercise_hint",
 ]
 
 
@@ -72,8 +63,7 @@ def build_lattice(mkt: MarketState, maturity: float, steps: int) -> LatticeParam
     return LatticeParams(steps, up, down, prob_up, dt)
 
 
-def _induct(spec: OptionSpec, mkt: MarketState, steps: int):
-    params = build_lattice(mkt, spec.maturity, steps)
+def _induct(spec: OptionSpec, mkt: MarketState, params: LatticeParams):
     discount = math.exp(-mkt.rate * params.dt)
     return _kernel.induct(
         mkt.spot,
@@ -89,40 +79,35 @@ def _induct(spec: OptionSpec, mkt: MarketState, steps: int):
 
 def lattice_price(spec: OptionSpec, mkt: MarketState, steps: int) -> float:
     """Tree price by backward induction; American compares hold to intrinsic."""
-    return _induct(spec, mkt, steps)[0]
+    return _induct(spec, mkt, build_lattice(mkt, spec.maturity, steps))[0]
 
 
-def lattice_delta(spec: OptionSpec, mkt: MarketState, steps: int) -> float:
-    """First difference of the two step-1 node values, quoted at time 0."""
+def lattice_valuation(
+    spec: OptionSpec, mkt: MarketState, steps: int
+) -> tuple[float, float, float]:
+    """Price, delta and gamma from one induction.
+
+    Delta is the first difference of the two step-1 node values; gamma is
+    the central second difference of the three step-2 node values.
+    """
     if steps < 2:
         raise PricingError(f"tree Greeks need steps >= 2, got {steps}")
-    _, v10, v11, _, _, _ = _induct(spec, mkt, steps)
     params = build_lattice(mkt, spec.maturity, steps)
-    return (v11 - v10) / (mkt.spot * params.up - mkt.spot * params.down)
-
-
-def lattice_gamma(spec: OptionSpec, mkt: MarketState, steps: int) -> float:
-    """Central second difference of the three step-2 node values."""
-    if steps < 2:
-        raise PricingError(f"tree Greeks need steps >= 2, got {steps}")
-    _, _, _, v20, v21, v22 = _induct(spec, mkt, steps)
-    params = build_lattice(mkt, spec.maturity, steps)
+    v00, v10, v11, v20, v21, v22 = _induct(spec, mkt, params)
+    delta = (v11 - v10) / (mkt.spot * params.up - mkt.spot * params.down)
     s_up = mkt.spot * params.up**2
     s_dn = mkt.spot * params.down**2
     slope_up = (v22 - v21) / (s_up - mkt.spot)
     slope_dn = (v21 - v20) / (mkt.spot - s_dn)
-    return (slope_up - slope_dn) / (0.5 * (s_up - s_dn))
+    gamma = (slope_up - slope_dn) / (0.5 * (s_up - s_dn))
+    return v00, delta, gamma
 
 
-class ExerciseHint:
-    HOLD_LIKELY = "hold-likely"
-    EXERCISE_LIKELY = "exercise-likely"
+def lattice_delta(spec: OptionSpec, mkt: MarketState, steps: int) -> float:
+    """Tree delta, quoted at time 0; see ``lattice_valuation``."""
+    return lattice_valuation(spec, mkt, steps)[1]
 
 
-def early_exercise_hint(spot: float, strike: float, rate: float, dividend_yield: float) -> str:
-    """Coarse American-call guidance: holding is favored while S q <= K r."""
-    if not (spot > 0 and strike > 0):
-        raise PricingError("spot and strike must be positive")
-    if spot * dividend_yield > strike * rate:
-        return ExerciseHint.EXERCISE_LIKELY
-    return ExerciseHint.HOLD_LIKELY
+def lattice_gamma(spec: OptionSpec, mkt: MarketState, steps: int) -> float:
+    """Tree gamma, quoted at time 0; see ``lattice_valuation``."""
+    return lattice_valuation(spec, mkt, steps)[2]

@@ -57,8 +57,10 @@ def normal_draws(seed: int, count: int) -> np.ndarray:
     """Deterministic standard-normal draws for a given seed.
 
     Uniforms are taken as k / 2^53 with k in [1, 2^53), which keeps the
-    inverse CDF finite on both tails.
+    inverse CDF finite on both tails.  The seed must be non-negative.
     """
+    if seed < 0:
+        raise PricingError(f"seed must be non-negative, got {seed}")
     rng = np.random.Generator(np.random.Philox(seed))
     uniforms = rng.integers(1, 1 << 53, size=count) / float(1 << 53)
     return ndtri(uniforms)

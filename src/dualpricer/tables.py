@@ -24,8 +24,7 @@ from .analytic import (
 )
 from .duality import (
     LatticeEngine,
-    delta_via_dual,
-    gamma_via_dual,
+    from_dual_valuation,
     price_currency_put_approx,
     price_via_dual,
     to_dual,
@@ -38,7 +37,7 @@ from .hedge import (
     solve_weights,
     true_error,
 )
-from .lattice import lattice_delta, lattice_gamma, lattice_price
+from .lattice import lattice_price
 from .simulate import SimConfig, normal_draws, run_hedge_sim
 
 __all__ = [
@@ -128,26 +127,24 @@ def table2(steps: int = 365) -> TableData:
     """Tree delta and gamma of American puts, direct and via the dual call."""
     spec = _american(OptionRight.PUT)
     engine = LatticeEngine(steps)
+    valuations = []
+    for spot in _PRICING_SPOTS:
+        mkt = MarketState(spot, 0.06, 0.0, _PRICING_VOL)
+        dual_tree = engine.valuation(*to_dual(spec, mkt).dual)
+        via = from_dual_valuation(spec, mkt, dual_tree)
+        valuations.append((spot, engine.valuation(spec, mkt), dual_tree, via))
     rows = []
-    for label, direct_fn, via_fn, engine_greek in (
-        ("delta", lattice_delta, delta_via_dual, engine.delta),
-        ("gamma", lattice_gamma, gamma_via_dual, engine.gamma),
-    ):
-        for spot in _PRICING_SPOTS:
-            mkt = MarketState(spot, 0.06, 0.0, _PRICING_VOL)
-            direct = direct_fn(spec, mkt, steps)
-            dual_spec, dual_mkt = to_dual(spec, mkt).dual
-            dual_tree = engine_greek(dual_spec, dual_mkt)
-            via = via_fn(spec, mkt, engine)
+    for index, label in ((1, "delta"), (2, "gamma")):
+        for spot, direct, dual_tree, via in valuations:
             rows.append(
                 (
                     label,
                     spot,
                     spec.strike,
-                    float(direct),
-                    float(dual_tree),
-                    float(via),
-                    100.0 * (via - direct) / direct,
+                    float(direct[index]),
+                    float(dual_tree[index]),
+                    float(via[index]),
+                    100.0 * (via[index] - direct[index]) / direct[index],
                 )
             )
     return TableData(

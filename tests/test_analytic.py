@@ -88,6 +88,10 @@ def test_market_state_validation():
         MarketState(50.0, 0.0, 0.0, 0.0)
     with pytest.raises(PricingError):
         MarketState(50.0, math.inf, 0.0, 0.2)
+    with pytest.raises(PricingError):
+        MarketState(math.inf, 0.0, 0.0, 0.2)
+    with pytest.raises(PricingError):
+        MarketState(50.0, 0.0, 0.0, math.inf)
 
 
 def test_option_spec_validation():
@@ -95,6 +99,10 @@ def test_option_spec_validation():
         OptionSpec(OptionRight.CALL, ExerciseStyle.EUROPEAN, 0.0, 1.0)
     with pytest.raises(PricingError):
         OptionSpec(OptionRight.CALL, ExerciseStyle.EUROPEAN, 40.0, -0.5)
+    with pytest.raises(PricingError):
+        OptionSpec(OptionRight.CALL, ExerciseStyle.EUROPEAN, math.inf, 1.0)
+    with pytest.raises(PricingError):
+        OptionSpec(OptionRight.CALL, ExerciseStyle.EUROPEAN, 40.0, math.inf)
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import pytest
 
 from dualpricer import PricingError
 from dualpricer.cli import main
-from dualpricer.experiment import ExperimentConfig, dumps, load_file, loads, save_file
+from dualpricer.experiment import ExperimentConfig, load_file, loads
 
 
 @pytest.fixture(autouse=True)
@@ -18,6 +18,12 @@ def run(argv, capsys):
     rc = main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def write_config(tmp_path, text):
+    path = tmp_path / "run.exp"
+    path.write_text(text, encoding="utf-8")
+    return path
 
 
 def test_price_european_put(capsys):
@@ -65,6 +71,19 @@ def test_price_greeks_via_dual(capsys):
     dual_delta = re.search(r"dual delta:   (-?\d+\.\d{4})", out)
     assert direct_delta and dual_delta
     assert direct_delta.group(1) == dual_delta.group(1)
+
+
+def test_price_infinite_maturity_fails(capsys):
+    rc, out, err = run(
+        [
+            "price", "--style", "american", "--right", "put",
+            "-S", "36", "-K", "40", "-r", "0.06", "--vol", "0.4", "-T", "inf",
+        ],
+        capsys,
+    )
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and "maturity" in err
 
 
 def test_price_missing_flag_is_usage_error(capsys):
@@ -198,11 +217,26 @@ def test_bad_seed_env_is_reported(capsys, monkeypatch):
     assert "DUALPRICER_SEED" in err
 
 
+@pytest.mark.parametrize(
+    "argv,env_seed",
+    [
+        (["table", "t7"], "-1"),
+        (["table", "t7", "--seed", "-1"], None),
+        (["hedge", "--sim", "--spot0", "50", "--paths", "10", "--seed", "-1"], None),
+    ],
+    ids=["env", "table", "hedge"],
+)
+def test_negative_seed_is_reported(argv, env_seed, capsys, monkeypatch):
+    if env_seed is not None:
+        monkeypatch.setenv("DUALPRICER_SEED", env_seed)
+    rc, _, err = run(argv, capsys)
+    assert rc == 1
+    assert err.startswith("error:") and "seed" in err
+
+
 def test_experiment_round_trip(tmp_path):
     cfg = ExperimentConfig("hedge", {"scheme": "wu-zhu", "Kd": "38", "spot0": "52"})
-    assert loads(dumps(cfg)) == cfg
-    path = tmp_path / "run.exp"
-    save_file(cfg, path)
+    path = write_config(tmp_path, "command = hedge\nscheme = wu-zhu\nKd = 38\nspot0 = 52\n")
     assert load_file(path) == cfg
 
 
@@ -222,10 +256,7 @@ def test_experiment_parser_details():
 
 
 def test_hedge_config_file_supplies_defaults(tmp_path, capsys):
-    path = tmp_path / "run.exp"
-    save_file(
-        ExperimentConfig("hedge", {"scheme": "wu-zhu", "spot0": "50"}), path
-    )
+    path = write_config(tmp_path, "command = hedge\nscheme = wu-zhu\nspot0 = 50\n")
     rc, out, _ = run(["hedge", "--config", str(path)], capsys)
     assert rc == 0
     assert "scheme: wu-zhu" in out
@@ -233,8 +264,7 @@ def test_hedge_config_file_supplies_defaults(tmp_path, capsys):
 
 
 def test_hedge_flag_overrides_config(tmp_path, capsys):
-    path = tmp_path / "run.exp"
-    save_file(ExperimentConfig("hedge", {"scheme": "wu-zhu"}), path)
+    path = write_config(tmp_path, "command = hedge\nscheme = wu-zhu\n")
     rc, out, _ = run(
         ["hedge", "--config", str(path), "--scheme", "bsm-dual"], capsys
     )
@@ -244,29 +274,30 @@ def test_hedge_flag_overrides_config(tmp_path, capsys):
 
 
 def test_hedge_config_for_other_command_rejected(tmp_path, capsys):
-    path = tmp_path / "run.exp"
-    save_file(ExperimentConfig("price", {"spot0": "50"}), path)
+    path = write_config(tmp_path, "command = price\nspot0 = 50\n")
     rc, _, err = run(["hedge", "--config", str(path)], capsys)
     assert rc == 1
     assert "drives command" in err
 
 
 def test_hedge_config_bad_number(tmp_path, capsys):
-    path = tmp_path / "run.exp"
-    save_file(ExperimentConfig("hedge", {"Kd": "forty"}), path)
+    path = write_config(tmp_path, "command = hedge\nKd = forty\n")
     rc, _, err = run(["hedge", "--config", str(path)], capsys)
     assert rc == 1
     assert "Kd" in err
 
 
+def test_hedge_config_bad_scheme(tmp_path, capsys):
+    path = write_config(tmp_path, "command = hedge\nscheme = foo\n")
+    rc, out, err = run(["hedge", "--config", str(path)], capsys)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and "scheme" in err
+
+
 def test_hedge_sim_flag_via_config(tmp_path, capsys):
-    path = tmp_path / "run.exp"
-    save_file(
-        ExperimentConfig(
-            "hedge",
-            {"sim": "true", "spot0": "50", "paths": "200", "seed": "3"},
-        ),
-        path,
+    path = write_config(
+        tmp_path, "command = hedge\nsim = true\nspot0 = 50\npaths = 200\nseed = 3\n"
     )
     rc, out, _ = run(["hedge", "--config", str(path)], capsys)
     assert rc == 0

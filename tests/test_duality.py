@@ -155,6 +155,30 @@ def test_currency_put_exact_when_rate_zero():
     )
 
 
+def test_currency_put_exact_when_rate_negative_and_foreign_rate_positive():
+    # no early exercise: the 2000-step American tree equals the European one
+    spec = spec_of(OptionRight.PUT, ExerciseStyle.AMERICAN)
+    mkt = MarketState(36.0, -0.02, 0.06, 0.20)
+    price, tag = price_currency_put_approx(spec, mkt)
+    assert tag is Exactness.EXACT
+    american = lattice_price(spec, mkt, 2000)
+    european = lattice_price(
+        spec_of(OptionRight.PUT, ExerciseStyle.EUROPEAN), mkt, 2000
+    )
+    assert american == european
+    assert price == pytest.approx(american, abs=1e-4)
+
+
+def test_currency_put_approximate_when_foreign_rate_negative():
+    # deep in the money with r = 0 and q < 0, immediate exercise beats holding
+    spec = spec_of(OptionRight.PUT, ExerciseStyle.AMERICAN)
+    mkt = MarketState(10.0, 0.0, -0.05, 0.20)
+    price, tag = price_currency_put_approx(spec, mkt)
+    assert tag is Exactness.APPROXIMATION
+    assert lattice_price(spec, mkt, 2000) == pytest.approx(30.0, abs=1e-9)
+    assert price == pytest.approx(29.487, abs=5e-4)
+
+
 def test_currency_put_approximate_when_rate_positive():
     spec = spec_of(OptionRight.PUT, ExerciseStyle.AMERICAN)
     mkt = MarketState(36.0, 0.05, 0.06, 0.40)

@@ -1,4 +1,4 @@
-"""Tree pricing: parameterization, golden prices, Greeks, backend parity."""
+"""Tree pricing: parameterization, golden prices, Greeks, the kernel."""
 
 import math
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from dualpricer import (
-    ExerciseHint,
     ExerciseStyle,
     MarketState,
     NoArbitrageError,
@@ -16,7 +15,6 @@ from dualpricer import (
     bsm_delta,
     bsm_price,
     build_lattice,
-    early_exercise_hint,
     lattice_delta,
     lattice_gamma,
     lattice_price,
@@ -132,41 +130,6 @@ def test_greeks_need_two_steps():
         lattice_delta(spec, mkt, 1)
     with pytest.raises(PricingError):
         lattice_gamma(spec, mkt, 1)
-
-
-def test_early_exercise_hint():
-    assert early_exercise_hint(50.0, 40.0, 0.05, 0.0) == ExerciseHint.HOLD_LIKELY
-    assert early_exercise_hint(100.0, 50.0, 0.01, 0.06) == ExerciseHint.EXERCISE_LIKELY
-    # exact tie goes to holding
-    assert early_exercise_hint(50.0, 50.0, 0.04, 0.04) == ExerciseHint.HOLD_LIKELY
-    with pytest.raises(PricingError):
-        early_exercise_hint(-1.0, 50.0, 0.04, 0.04)
-
-
-def test_backends_agree():
-    core = pytest.importorskip("dualpricer._crr_core")
-    cases = [
-        (36.0, 40.0, 0.06, 0.0, 0.40, 1.0, 365, False, True),
-        (40.0, 36.0, 0.0, 0.06, 0.40, 1.0, 365, True, True),
-        (50.0, 50.0, 0.05, 0.01, 0.20, 0.5, 127, True, False),
-        (44.0, 40.0, 0.06, 0.0, 0.40, 1.0, 2, False, True),
-    ]
-    for spot, strike, rate, div, vol, mat, steps, is_call, amer in cases:
-        mkt = MarketState(spot, rate, div, vol)
-        params = build_lattice(mkt, mat, steps)
-        args = (
-            spot,
-            strike,
-            params.up,
-            params.prob_up,
-            math.exp(-rate * params.dt),
-            steps,
-            is_call,
-            amer,
-        )
-        got_core = core.induct(*args)
-        got_np = _crr_numpy.induct(*args)
-        assert got_core == pytest.approx(got_np, rel=1e-12, nan_ok=True)
 
 
 def test_numpy_kernel_single_step():
