@@ -1,7 +1,12 @@
 """Vectorized binomial backward-induction kernel.
 
 The only induction kernel; ``lattice`` calls it once per tree.  Each step
-is one numpy slice update over the surviving nodes.
+updates the surviving nodes in place: the value and price arrays and one
+work array are allocated once per tree, and every step writes into them
+through ``out=`` ufuncs, in the same float operations and order as a step
+that allocates its results.  The work array holds the up-move continuation
+values, then the exercise values.  European trees skip the node prices
+after the payoff, because only the early-exercise comparison reads them.
 """
 
 import numpy as np
@@ -25,13 +30,28 @@ def induct(spot, strike, up, prob_up, discount, steps, is_call, american):
         low[steps] = values.copy()
     p = prob_up
     q = 1.0 - prob_up
+    work = np.empty(steps)
     for i in range(steps - 1, -1, -1):
-        values = discount * (p * values[1 : i + 2] + q * values[: i + 1])
-        prices = prices[: i + 1] * up
+        n = i + 1
+        v = values[:n]
+        w = work[:n]
+        np.multiply(p, values[1 : n + 1], out=w)
+        np.multiply(q, v, out=v)
+        np.add(w, v, out=v)
+        np.multiply(discount, v, out=v)
         if american:
-            values = np.maximum(values, sign * (prices - strike))
+            s = prices[:n]
+            s *= up
+            # The exercise value differs from sign * (prices - strike) only
+            # in the sign of a zero, which np.maximum never picks over a
+            # held value >= 0.
+            if is_call:
+                np.subtract(s, strike, out=w)
+            else:
+                np.subtract(strike, s, out=w)
+            np.maximum(v, w, out=v)
         if i <= 2:
-            low[i] = values
+            low[i] = v.copy()
     v2 = low.get(2, np.full(3, np.nan))
     v1 = low[1] if steps >= 1 else np.full(2, np.nan)
     return (

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from .analytic import call_price
-from .errors import HedgeConstraintError, SingularHedgeSystem
+from .errors import HedgeConstraintError, PricingError, SingularHedgeSystem
 
 __all__ = [
     "HedgeScheme",
@@ -69,6 +69,10 @@ class HedgeConfig:
     dividend_yield: float
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise HedgeConstraintError(f"{field.name} must be finite, got {value}")
         if not (self.strike_low > 0 and self.target_strike > 0):
             raise HedgeConstraintError("strikes must be positive")
         if not self.strike_low < self.target_strike < self.strike_high:
@@ -188,7 +192,7 @@ def solve_weights(cfg: HedgeConfig, scheme: HedgeScheme) -> HedgeWeights:
     ]
     rhs = (1.0, 0.0, 1.0)
     det = _det3(matrix)
-    if abs(det) < 1e-12:
+    if not abs(det) >= 1e-12:
         raise SingularHedgeSystem(
             f"replication system is singular (determinant {det:.3e})", det
         )
@@ -199,6 +203,11 @@ def solve_weights(cfg: HedgeConfig, scheme: HedgeScheme) -> HedgeWeights:
         ]
         cols.append(_det3(replaced) / det)
     return HedgeWeights(cols[0], cols[1], cols[2], scheme, det)
+
+
+def _require_spot(name: str, spot: float):
+    if not (spot > 0 and math.isfinite(spot)):
+        raise PricingError(f"{name} must be positive and finite, got {spot}")
 
 
 def _require_valuation_horizon(cfg: HedgeConfig):
@@ -223,6 +232,7 @@ def _portfolio_minus_target(cfg, w, spot, wing_tau, mid_tau, target_tau):
 def gross_error(cfg: HedgeConfig, w: HedgeWeights, spot_at_horizon: float):
     """Portfolio minus target at the horizon, in currency and in percent."""
     _require_valuation_horizon(cfg)
+    _require_spot("spot at the horizon", spot_at_horizon)
     diff, target = _portfolio_minus_target(
         cfg,
         w,
@@ -236,6 +246,7 @@ def gross_error(cfg: HedgeConfig, w: HedgeWeights, spot_at_horizon: float):
 
 def net_cost(cfg: HedgeConfig, w: HedgeWeights, spot_at_start: float):
     """Portfolio minus target at setup, in currency and in percent."""
+    _require_spot("spot at setup", spot_at_start)
     diff, target = _portfolio_minus_target(
         cfg,
         w,

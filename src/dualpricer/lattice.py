@@ -5,10 +5,18 @@ which is the convention the rest of the package validates against.  One
 backward induction gives all the nodes that price, delta and gamma need,
 so ``lattice_valuation`` returns the three together.  The induction runs
 in the numpy kernel ``_crr_numpy``.
+
+The last induction is memoized, keyed on the kernel's eight arguments, so
+price, delta and gamma asked one after another of the same tree (directly,
+or of the same dual tree) run one induction.  The memo holds one entry:
+it serves only "the same tree again right away", and a report that values
+distinct trees never hits it.  Trees are capped at ``MAX_STEPS`` steps,
+because induction work grows with the square of the step count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,8 +26,12 @@ from .errors import NoArbitrageError, PricingError
 
 BACKEND = _kernel.NAME
 
+# Ten times the largest tree any report or test uses (2,000 steps).
+MAX_STEPS = 20_000
+
 __all__ = [
     "BACKEND",
+    "MAX_STEPS",
     "LatticeParams",
     "build_lattice",
     "lattice_price",
@@ -44,10 +56,13 @@ def build_lattice(mkt: MarketState, maturity: float, steps: int) -> LatticeParam
     """Size the tree: dt = T/steps, u = e^{sigma sqrt(dt)}, d = 1/u.
 
     The risk-neutral up-probability is (e^{(r-q) dt} - d)/(u - d); it must
-    land strictly inside (0, 1) or the step admits arbitrage.
+    land strictly inside (0, 1) or the step admits arbitrage.  Steps must
+    lie in [1, MAX_STEPS].
     """
     if steps < 1:
         raise PricingError(f"steps must be >= 1, got {steps}")
+    if steps > MAX_STEPS:
+        raise PricingError(f"steps must be <= {MAX_STEPS}, got {steps}")
     if not maturity > 0:
         raise PricingError(f"maturity must be positive, got {maturity}")
     dt = maturity / steps
@@ -63,9 +78,14 @@ def build_lattice(mkt: MarketState, maturity: float, steps: int) -> LatticeParam
     return LatticeParams(steps, up, down, prob_up, dt)
 
 
+@functools.lru_cache(maxsize=1)
+def _nodes(*args):
+    return _kernel.induct(*args)
+
+
 def _induct(spec: OptionSpec, mkt: MarketState, params: LatticeParams):
     discount = math.exp(-mkt.rate * params.dt)
-    return _kernel.induct(
+    return _nodes(
         mkt.spot,
         spec.strike,
         params.up,

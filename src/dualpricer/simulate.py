@@ -11,6 +11,7 @@ path count ordering.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,10 @@ class SimConfig:
     def __post_init__(self):
         if self.paths < 1:
             raise PricingError(f"paths must be >= 1, got {self.paths}")
-        if not self.spot > 0:
-            raise PricingError(f"spot must be positive, got {self.spot}")
+        if not (self.spot > 0 and math.isfinite(self.spot)):
+            raise PricingError(f"spot must be positive and finite, got {self.spot}")
+        if not math.isfinite(self.drift):
+            raise PricingError(f"drift must be finite, got {self.drift}")
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,20 @@ def test_price_infinite_maturity_fails(capsys):
     assert err.startswith("error:") and "maturity" in err
 
 
+def test_price_too_many_steps_fails(capsys):
+    rc, out, err = run(
+        [
+            "price", "--style", "american", "--right", "put",
+            "-S", "36", "-K", "40", "-r", "0.06", "--vol", "0.4", "-T", "1",
+            "--steps", "2000000",
+        ],
+        capsys,
+    )
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and "steps" in err
+
+
 def test_price_missing_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["price", "--style", "european", "--right", "call", "-S", "50"])
@@ -164,6 +178,36 @@ def test_hedge_collapsed_strikes_fail(capsys):
     )
     assert rc == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-T", "inf"],
+        ["--rate", "nan", "--spot0", "50"],
+        ["--vol", "1e-150", "--spot0", "50"],
+        ["--spot0", "-5", "--spotTh", "45"],
+        ["--spot0", "nan"],
+        ["--spotTh", "0"],
+        ["--sim", "--spot0", "inf", "--paths", "10"],
+        ["--sim", "--spot0", "50", "--mu", "nan", "--paths", "10"],
+    ],
+    ids=[
+        "infinite-maturity",
+        "nan-rate",
+        "nan-determinant",
+        "negative-spot0",
+        "nan-spot0",
+        "zero-spotTh",
+        "sim-infinite-spot0",
+        "sim-nan-drift",
+    ],
+)
+def test_hedge_non_finite_result_fails(argv, capsys):
+    rc, out, err = run(["hedge", *argv], capsys)
+    assert rc == 1
+    assert err.startswith("error:")
+    assert not re.search(r"\b(nan|inf)\b", out)
 
 
 def test_hedge_point_report(capsys):

@@ -1,8 +1,12 @@
 """Guard on the number of tree inductions behind each report and command.
 
 Every call of the kernel's ``induct`` is counted, so a change that values
-the same tree twice shows up here before it shows up in a timing.
+the same tree twice shows up here before it shows up in a timing.  The
+one-entry induction memo in ``lattice`` is cleared before counting, so a
+count does not depend on which tree an earlier test induced last.
 """
+
+import dataclasses
 
 import pytest
 
@@ -13,11 +17,13 @@ from dualpricer import (
     OptionRight,
     OptionSpec,
     delta_via_dual,
+    gamma_via_dual,
     lattice,
     lattice_delta,
     lattice_gamma,
     lattice_price,
     lattice_valuation,
+    price_via_dual,
     tables,
 )
 from dualpricer.cli import main
@@ -33,6 +39,7 @@ def inductions(monkeypatch):
         return induct(*args)
 
     monkeypatch.setattr(lattice._kernel, "induct", counted)
+    lattice._nodes.cache_clear()
     return calls
 
 
@@ -81,8 +88,54 @@ def test_price_greeks_via_dual_is_two_inductions(inductions, capsys):
 )
 def test_valuation_equals_separate_calls(spec, mkt):
     steps = 127
-    assert lattice_valuation(spec, mkt, steps) == (
-        lattice_price(spec, mkt, steps),
-        lattice_delta(spec, mkt, steps),
-        lattice_gamma(spec, mkt, steps),
+
+    def fresh(value):
+        lattice._nodes.cache_clear()
+        return value(spec, mkt, steps)
+
+    assert fresh(lattice_valuation) == (
+        fresh(lattice_price),
+        fresh(lattice_delta),
+        fresh(lattice_gamma),
     )
+
+
+def test_direct_and_dual_greeks_are_two_inductions(inductions):
+    """Price, delta and gamma, direct and via the dual: two trees."""
+    spec, mkt, steps = american_put(), MarketState(36.0, 0.06, 0.0, 0.40), 365
+    engine = LatticeEngine(steps)
+    lattice_price(spec, mkt, steps)
+    lattice_delta(spec, mkt, steps)
+    lattice_gamma(spec, mkt, steps)
+    price_via_dual(spec, mkt, engine)
+    delta_via_dual(spec, mkt, engine)
+    gamma_via_dual(spec, mkt, engine)
+    assert len(inductions) == 2
+    assert len(set(inductions)) == 2
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda spec, mkt, steps: (spec, mkt, steps + 1),
+        lambda spec, mkt, steps: (
+            dataclasses.replace(spec, right=OptionRight.CALL), mkt, steps
+        ),
+        lambda spec, mkt, steps: (
+            dataclasses.replace(spec, style=ExerciseStyle.EUROPEAN), mkt, steps
+        ),
+        lambda spec, mkt, steps: (spec, dataclasses.replace(mkt, rate=0.05), steps),
+        lambda spec, mkt, steps: (spec, dataclasses.replace(mkt, spot=37.0), steps),
+    ],
+    ids=["steps", "right", "style", "rate", "spot"],
+)
+def test_changed_input_induces_again(inductions, change):
+    request = (american_put(), MarketState(36.0, 0.06, 0.0, 0.40), 100)
+    first = lattice_price(*request)
+    assert lattice_price(*request) == first
+    assert len(inductions) == 1
+    changed = change(*request)
+    lattice_price(*changed)
+    assert len(inductions) == 2
+    assert lattice_price(*request) == first
+    assert len(inductions) == 3

@@ -1,9 +1,12 @@
 """Tree pricing: parameterization, golden prices, Greeks, the kernel."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dualpricer import (
     ExerciseStyle,
@@ -20,6 +23,7 @@ from dualpricer import (
     lattice_price,
 )
 from dualpricer import _crr_numpy
+from dualpricer.lattice import MAX_STEPS
 
 PUT_GRID = (
     # spot, 365-step American put price printed to 3 decimals
@@ -65,6 +69,9 @@ def test_build_lattice_rejects_bad_steps():
     mkt = MarketState(40.0, 0.06, 0.0, 0.40)
     with pytest.raises(PricingError):
         build_lattice(mkt, 1.0, 0)
+    assert build_lattice(mkt, 1.0, MAX_STEPS).steps == MAX_STEPS
+    with pytest.raises(PricingError):
+        build_lattice(mkt, 1.0, MAX_STEPS + 1)
 
 
 @pytest.mark.parametrize("spot,expected", PUT_GRID)
@@ -136,3 +143,62 @@ def test_numpy_kernel_single_step():
     out = _crr_numpy.induct(40.0, 40.0, 1.1, 0.5, 1.0, 1, True, False)
     assert out[0] == pytest.approx(0.5 * (40.0 * 1.1 - 40.0))
     assert np.isnan(out[3])
+
+
+def allocating_induct(spot, strike, up, prob_up, discount, steps, is_call, american):
+    """Reference: the kernel as it stood before its step became in place."""
+    sign = 1.0 if is_call else -1.0
+    j = np.arange(steps + 1)
+    prices = spot * up ** (2.0 * j - steps)
+    values = np.maximum(sign * (prices - strike), 0.0)
+    low = {}
+    if steps <= 2:
+        low[steps] = values.copy()
+    p = prob_up
+    q = 1.0 - prob_up
+    for i in range(steps - 1, -1, -1):
+        values = discount * (p * values[1 : i + 2] + q * values[: i + 1])
+        prices = prices[: i + 1] * up
+        if american:
+            values = np.maximum(values, sign * (prices - strike))
+        if i <= 2:
+            low[i] = values
+    v2 = low.get(2, np.full(3, np.nan))
+    v1 = low[1] if steps >= 1 else np.full(2, np.nan)
+    return (
+        float(low[0][0]),
+        float(v1[0]),
+        float(v1[1]),
+        float(v2[0]),
+        float(v2[1]),
+        float(v2[2]),
+    )
+
+
+def bits(values):
+    """Bit patterns of floats, with every NaN as one pattern."""
+    return [
+        "nan" if math.isnan(v) else struct.pack("<d", v).hex() for v in values
+    ]
+
+
+@st.composite
+def trees(draw):
+    spot = draw(st.floats(1.0, 1000.0))
+    at_the_money = draw(st.booleans())
+    strike = spot if at_the_money else draw(st.floats(1.0, 1000.0))
+    up = math.exp(draw(st.floats(1e-4, 0.5)))
+    prob_up = draw(st.floats(0.01, 0.99))
+    discount = draw(st.floats(0.9, 1.0))
+    steps = draw(st.integers(1, 400))
+    return (spot, strike, up, prob_up, discount, steps, draw(st.booleans()), draw(st.booleans()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees())
+@example((40.0, 40.0, 1.1, 0.5, 0.99, 1, False, True))
+@example((40.0, 40.0, 1.1, 0.5, 0.99, 2, False, True))
+@example((40.0, 40.0, 1.1, 0.5, 0.99, 3, False, True))
+@example((40.0, 40.0, 1.1, 0.5, 0.99, 2, True, False))
+def test_in_place_kernel_matches_allocating_reference(tree):
+    assert bits(_crr_numpy.induct(*tree)) == bits(allocating_induct(*tree))
