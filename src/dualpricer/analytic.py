@@ -162,7 +162,10 @@ def bsm_gamma(spec: OptionSpec, mkt: MarketState) -> float:
     """Closed-form gamma e^{-qT} n(d1) / (S sigma sqrt(T)); same for both rights."""
     _require_european(spec, "bsm_gamma")
     d = d1_d2(mkt, spec.strike, spec.maturity)
-    density = math.exp(-0.5 * d.d1**2) / math.sqrt(2.0 * math.pi)
+    try:
+        density = math.exp(-0.5 * d.d1**2) / math.sqrt(2.0 * math.pi)
+    except OverflowError:
+        density = 0.0  # d1**2 beyond the float range: exp underflows to 0
     return (
         math.exp(-mkt.dividend_yield * spec.maturity)
         * density

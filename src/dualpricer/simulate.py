@@ -7,6 +7,13 @@ true hedge error, and the run is summarized by the mean percentage error
 Draws come from a counter-based generator (Philox) through the inverse
 normal CDF, so a seed pins the full stream independently of platform and
 path count ordering.
+
+A run holds its draws only until the terminal spots exist, and
+``hedge.true_errors`` values those spots in cache-sized blocks into two
+result arrays, which the summary then overwrites in place.  Peak memory
+is therefore about 24 bytes per path (the draws and two temporaries of
+``gbm_terminal``, then the spots, errors and prices while valuing), and
+the path count is capped at ``MAX_PATHS``.
 """
 
 from __future__ import annotations
@@ -20,7 +27,22 @@ from scipy.special import ndtri
 from .errors import PricingError
 from .hedge import HedgeConfig, HedgeScheme, solve_weights, true_errors
 
-__all__ = ["SimConfig", "SimSummary", "gbm_terminal", "normal_draws", "run_hedge_sim"]
+__all__ = [
+    "MAX_PATHS",
+    "SimConfig",
+    "SimSummary",
+    "gbm_terminal",
+    "normal_draws",
+    "run_hedge_sim",
+]
+
+# Ten times the largest run in the repo; about 240 MB of arrays at the peak.
+MAX_PATHS = 10_000_000
+
+
+def _require_paths(paths: int):
+    if not 1 <= paths <= MAX_PATHS:
+        raise PricingError(f"paths must be in [1, {MAX_PATHS}], got {paths}")
 
 
 @dataclass(frozen=True)
@@ -35,8 +57,7 @@ class SimConfig:
     scheme: HedgeScheme
 
     def __post_init__(self):
-        if self.paths < 1:
-            raise PricingError(f"paths must be >= 1, got {self.paths}")
+        _require_paths(self.paths)
         if not (self.spot > 0 and math.isfinite(self.spot)):
             raise PricingError(f"spot must be positive and finite, got {self.spot}")
         if not math.isfinite(self.drift):
@@ -60,8 +81,10 @@ def normal_draws(seed: int, count: int) -> np.ndarray:
     """Deterministic standard-normal draws for a given seed.
 
     Uniforms are taken as k / 2^53 with k in [1, 2^53), which keeps the
-    inverse CDF finite on both tails.  The seed must be non-negative.
+    inverse CDF finite on both tails.  The seed must be non-negative and
+    the count in [1, ``MAX_PATHS``].
     """
+    _require_paths(count)
     if seed < 0:
         raise PricingError(f"seed must be non-negative, got {seed}")
     rng = np.random.Generator(np.random.Philox(seed))
@@ -74,7 +97,8 @@ def run_hedge_sim(cfg: SimConfig, draws=None) -> SimSummary:
 
     ``draws`` overrides the seeded normal draws (length must equal
     ``cfg.paths``); it exists for degenerate-path tests and for sharing
-    one shock set across schemes.
+    one shock set across schemes, and is never written to.  A terminal
+    spot that is not positive and finite raises ``PricingError``.
     """
     if draws is None:
         z = normal_draws(cfg.seed, cfg.paths)
@@ -85,12 +109,20 @@ def run_hedge_sim(cfg: SimConfig, draws=None) -> SimSummary:
                 f"draws must have shape ({cfg.paths},), got {z.shape}"
             )
     weights = solve_weights(cfg.hedge, cfg.scheme)
-    terminal = gbm_terminal(cfg.spot, cfg.drift, cfg.hedge.vol, cfg.hedge.horizon, z)
-    errors, hedged_price = true_errors(cfg.hedge, weights, cfg.spot, terminal)
-    ratios = errors / hedged_price
+    with np.errstate(over="ignore"):  # true_errors rejects the inf spots
+        terminal = gbm_terminal(
+            cfg.spot, cfg.drift, cfg.hedge.vol, cfg.hedge.horizon, z
+        )
+    del z  # free seeded draws before the valuation allocates its results
+    errors, ratios = true_errors(cfg.hedge, weights, cfg.spot, terminal)
+    del terminal
+    np.divide(errors, ratios, out=ratios)
+    mhe = np.mean(ratios)
+    mae = np.mean(np.abs(ratios, out=ratios))
+    rmse = np.sqrt(np.mean(np.square(errors, out=errors)))
     return SimSummary(
-        mhe_pct=float(100.0 * np.mean(ratios)),
-        mae_pct=float(100.0 * np.mean(np.abs(ratios))),
-        rmse=float(np.sqrt(np.mean(errors**2))),
+        mhe_pct=float(100.0 * mhe),
+        mae_pct=float(100.0 * mae),
+        rmse=float(rmse),
         paths=cfg.paths,
     )

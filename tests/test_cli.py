@@ -100,6 +100,37 @@ def test_price_too_many_steps_fails(capsys):
     assert err.startswith("error:") and "steps" in err
 
 
+def test_price_tiny_vol_greeks_are_finite(capsys):
+    rc, out, err = run(
+        [
+            "price", "--style", "european", "--right", "put",
+            "-S", "36", "-K", "40", "-r", "0.06", "--vol", "1e-300", "-T", "1",
+            "--greeks",
+        ],
+        capsys,
+    )
+    assert rc == 0 and err == ""
+    # no vol: the put is worth its discounted intrinsic value, with gamma 0
+    assert out == (
+        "direct price: 1.671\ndirect delta: -1.0000\ndirect gamma: 0.0000\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "t7", "--paths", "10000001"],
+        ["hedge", "--sim", "--spot0", "50", "--paths", "10000001"],
+        ["table", "t7", "--paths", "-1"],
+    ],
+    ids=["t7", "hedge-sim", "t7-negative"],
+)
+def test_too_many_paths_fails(argv, capsys):
+    rc, _, err = run(argv, capsys)
+    assert rc == 1
+    assert err.startswith("error:") and "paths" in err
+
+
 def test_price_missing_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["price", "--style", "european", "--right", "call", "-S", "50"])
@@ -191,6 +222,10 @@ def test_hedge_collapsed_strikes_fail(capsys):
         ["--spotTh", "0"],
         ["--sim", "--spot0", "inf", "--paths", "10"],
         ["--sim", "--spot0", "50", "--mu", "nan", "--paths", "10"],
+        ["--sim", "--spot0", "50", "--mu", "1e300"],
+        ["--sim", "--spot0", "50", "--mu=-1e300"],
+        ["--vol", "1e-200"],
+        ["--vol", "1e-105", "--scheme", "wu-zhu"],
     ],
     ids=[
         "infinite-maturity",
@@ -201,6 +236,10 @@ def test_hedge_collapsed_strikes_fail(capsys):
         "zero-spotTh",
         "sim-infinite-spot0",
         "sim-nan-drift",
+        "sim-huge-drift",
+        "sim-huge-negative-drift",
+        "tiny-vol-overflow",
+        "tiny-vol-infinite-determinant",
     ],
 )
 def test_hedge_non_finite_result_fails(argv, capsys):

@@ -11,6 +11,7 @@ from dualpricer import (
     HedgeConstraintError,
     HedgeScheme,
     HedgeWeights,
+    PricingError,
     SingularHedgeSystem,
     call_price,
     dual_coefficients,
@@ -260,6 +261,13 @@ def test_true_errors_vectorized_matches_scalar():
         assert 100.0 * err / price == pytest.approx(
             report.true_error_pct, abs=1e-9
         )
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+def test_true_errors_rejects_bad_horizon_spots(bad):
+    w = solve_weights(DEFAULT_HEDGE, HedgeScheme.BSM_DUAL)
+    with pytest.raises(PricingError, match="spot at the horizon"):
+        true_errors(DEFAULT_HEDGE, w, 50.0, np.array([50.0, bad, 45.0]))
 
 
 def test_empty_portfolio_loses_the_target():

@@ -1,18 +1,31 @@
 """Monte-Carlo hedge-error runs: draws, terminal prices, summaries."""
 
+import dataclasses
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dualpricer import (
     HedgeScheme,
     PricingError,
     SimConfig,
+    SimSummary,
+    call_price,
     gbm_terminal,
+    hedge,
+    net_cost,
     normal_draws,
     run_hedge_sim,
+    simulate,
     solve_weights,
     true_error,
 )
+from dualpricer.hedge import _BLOCK
+from dualpricer.simulate import MAX_PATHS
 from dualpricer.tables import DEFAULT_HEDGE
 
 HORIZON = DEFAULT_HEDGE.horizon
@@ -117,3 +130,151 @@ def test_config_validation():
         sim(paths=0)
     with pytest.raises(PricingError):
         sim(spot=-1.0)
+
+
+def test_path_count_is_capped():
+    assert sim(paths=MAX_PATHS).paths == MAX_PATHS
+    with pytest.raises(PricingError, match="paths"):
+        sim(paths=MAX_PATHS + 1)
+    for count in (-1, 0, MAX_PATHS + 1):
+        with pytest.raises(PricingError, match="paths"):
+            normal_draws(1, count)
+
+
+@pytest.mark.parametrize("drift", [1e300, -1e300])
+def test_non_finite_terminal_spot_is_rejected(drift):
+    with pytest.raises(PricingError, match="spot at the horizon"):
+        run_hedge_sim(sim(drift=drift, paths=10))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_draw_is_rejected(bad):
+    draws = normal_draws(3, 2 * _BLOCK + 7)
+    draws[_BLOCK + 5] = bad
+    with pytest.raises(PricingError, match="spot at the horizon"):
+        run_hedge_sim(sim(paths=draws.size), draws=draws)
+
+
+def reference_true_errors(cfg, w, spot_at_start, spots_at_horizon):
+    """Reference: ``hedge.true_errors`` as it stood before it went by blocks."""
+    spots = np.asarray(spots_at_horizon, dtype=float)
+    args = (cfg.rate, cfg.dividend_yield, cfg.vol)
+    wing_tau = cfg.wing_maturity - cfg.horizon
+    mid_tau = cfg.mid_maturity - cfg.horizon
+    portfolio = (
+        w.w_low * call_price(spots, cfg.strike_low, *args, wing_tau)
+        + w.w_mid * call_price(spots, cfg.strike_mid, *args, mid_tau)
+        + w.w_high * call_price(spots, cfg.strike_high, *args, wing_tau)
+    )
+    target = call_price(spots, cfg.target_strike, *args, cfg.target_maturity - cfg.horizon)
+    eps = portfolio - target
+    cost, _ = net_cost(cfg, w, spot_at_start)
+    errors = eps - cost * math.exp(cfg.rate * cfg.horizon)
+    return errors, target
+
+
+def reference_run_hedge_sim(cfg, draws=None):
+    """Reference: ``run_hedge_sim`` as it stood before it went by blocks."""
+    z = normal_draws(cfg.seed, cfg.paths) if draws is None else np.asarray(draws, dtype=float)
+    weights = solve_weights(cfg.hedge, cfg.scheme)
+    terminal = gbm_terminal(cfg.spot, cfg.drift, cfg.hedge.vol, cfg.hedge.horizon, z)
+    errors, hedged_price = reference_true_errors(cfg.hedge, weights, cfg.spot, terminal)
+    ratios = errors / hedged_price
+    return SimSummary(
+        mhe_pct=float(100.0 * np.mean(ratios)),
+        mae_pct=float(100.0 * np.mean(np.abs(ratios))),
+        rmse=float(np.sqrt(np.mean(errors**2))),
+        paths=cfg.paths,
+    )
+
+
+def bits(summary):
+    """Every field of a summary, floats as bit patterns."""
+    return [
+        struct.pack("<d", v).hex() if isinstance(v, float) else v
+        for v in dataclasses.astuple(summary)
+    ]
+
+
+EDGE_PATHS = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7)
+
+
+@st.composite
+def sim_runs(draw):
+    cfg = sim(
+        spot=draw(st.floats(30.0, 70.0)),
+        drift=draw(st.floats(-0.5, 0.5)),
+        paths=draw(st.one_of(st.sampled_from(EDGE_PATHS), st.integers(1, 3 * _BLOCK))),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        scheme=draw(st.sampled_from(HedgeScheme)),
+    )
+    return cfg, draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(sim_runs())
+@example((sim(paths=1), False))
+@example((sim(paths=_BLOCK - 1, scheme=HedgeScheme.WU_ZHU), True))
+@example((sim(paths=_BLOCK), False))
+@example((sim(paths=_BLOCK + 1, spot=47.0), True))
+@example((sim(paths=2 * _BLOCK + 7, drift=-0.3), False))
+def test_blocked_run_matches_unblocked_reference(run):
+    cfg, with_draws = run
+    draws = normal_draws(cfg.seed + 1, cfg.paths) if with_draws else None
+    expected = reference_run_hedge_sim(cfg, draws)
+    assert bits(run_hedge_sim(cfg, draws)) == bits(expected)
+
+
+def test_true_errors_matches_reference_for_any_shape():
+    w = solve_weights(DEFAULT_HEDGE, HedgeScheme.BSM_DUAL)
+    spots = gbm_terminal(50.0, 0.04, 0.2, HORIZON, normal_draws(9, 3 * _BLOCK))
+    for shaped in (spots, spots[1:], spots.reshape(3, _BLOCK), spots[::2]):
+        got = hedge.true_errors(DEFAULT_HEDGE, w, 50.0, shaped)
+        want = reference_true_errors(DEFAULT_HEDGE, w, 50.0, shaped)
+        for g, r in zip(got, want):
+            assert g.shape == shaped.shape
+            assert g.tobytes() == r.tobytes()
+
+
+def counting(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("with_draws", [False, True])
+def test_one_draw_one_solve_one_setup_cost_per_run(with_draws, monkeypatch):
+    paths = 2 * _BLOCK + 7
+    draws = normal_draws(5, paths) if with_draws else None
+    calls = dict.fromkeys(("normal_draws", "solve_weights", "net_cost", "call_price"), 0)
+    elements = []
+    counting(monkeypatch, simulate, "normal_draws", calls)
+    counting(monkeypatch, simulate, "solve_weights", calls)
+    counting(monkeypatch, hedge, "net_cost", calls)
+    original_call_price = hedge.call_price
+
+    def sized_call_price(spot, *args):
+        elements.append(np.size(spot))
+        return original_call_price(spot, *args)
+
+    monkeypatch.setattr(hedge, "call_price", sized_call_price)
+    run_hedge_sim(sim(paths=paths), draws=draws)
+    assert calls["normal_draws"] == (0 if with_draws else 1)
+    assert calls["solve_weights"] == 1
+    assert calls["net_cost"] == 1
+    # three hedging calls and the target, per path and once at setup
+    assert sum(elements) == 4 * paths + 4
+
+
+def test_draws_passed_in_come_back_unchanged():
+    draws = normal_draws(11, 2 * _BLOCK + 7)
+    kept = draws.copy()
+    draws.flags.writeable = False
+    first = run_hedge_sim(sim(paths=draws.size), draws=draws)
+    second = run_hedge_sim(sim(paths=draws.size, scheme=HedgeScheme.WU_ZHU), draws=draws)
+    assert draws.tobytes() == kept.tobytes()
+    assert first != second
