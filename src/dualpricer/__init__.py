@@ -8,7 +8,6 @@ to build and evaluate static hedges of calls with shorter-dated calls.
 """
 
 from .analytic import (
-    D1D2,
     ExerciseStyle,
     MarketState,
     OptionRight,
@@ -16,13 +15,13 @@ from .analytic import (
     bsm_delta,
     bsm_gamma,
     bsm_price,
+    bsm_valuation,
     call_price,
     d1_d2,
     put_price,
 )
 from .duality import (
     AnalyticEngine,
-    DualProblem,
     Exactness,
     LatticeEngine,
     delta_via_dual,

@@ -2,9 +2,11 @@
 
 The model is Black-Scholes-Merton with a continuous dividend yield.  For
 currency options the yield slot carries the foreign rate, which makes the
-same formulas the Garman-Kohlhagen prices.  Array inputs broadcast through
-``call_price``/``put_price``; the ``bsm_*`` wrappers are the typed scalar
-front end used by the engines.
+same formulas the Garman-Kohlhagen prices.  Every number comes from one
+broadcasting ``d1_d2`` and one price expression per right:
+``call_price``/``put_price`` evaluate it over arrays, and
+``bsm_valuation`` gives the price, delta and gamma of one contract from a
+single d1; ``bsm_price``/``bsm_delta``/``bsm_gamma`` are its projections.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ __all__ = [
     "ExerciseStyle",
     "MarketState",
     "OptionSpec",
-    "D1D2",
     "d1_d2",
     "call_price",
     "put_price",
+    "bsm_valuation",
     "bsm_price",
     "bsm_delta",
     "bsm_gamma",
@@ -84,90 +86,95 @@ class OptionSpec:
         _require_finite_positive(self, ("strike", "maturity"))
 
 
-@dataclass(frozen=True)
-class D1D2:
-    d1: float
-    d2: float
-
-
-def d1_d2(mkt: MarketState, strike: float, maturity: float) -> D1D2:
-    """Standard normal arguments of the closed-form price.
+def d1_d2(spot, strike, rate, dividend_yield, vol, maturity):
+    """Standard normal arguments of the closed-form price; broadcasts.
 
     d1 = [ln(S/K) + (r - q + sigma^2/2) T] / (sigma sqrt(T)), d2 = d1 - sigma sqrt(T).
     """
-    if not maturity > 0:
-        raise PricingError(f"maturity must be positive, got {maturity}")
-    if not strike > 0:
-        raise PricingError(f"strike must be positive, got {strike}")
-    sig_sqrt_t = mkt.vol * math.sqrt(maturity)
-    d1 = (
-        math.log(mkt.spot / strike)
-        + (mkt.rate - mkt.dividend_yield + 0.5 * mkt.vol**2) * maturity
-    ) / sig_sqrt_t
-    return D1D2(d1, d1 - sig_sqrt_t)
-
-
-def _d1(spot, strike, rate, dividend_yield, vol, maturity):
     sig_sqrt_t = vol * np.sqrt(maturity)
-    return (
+    d1 = (
         np.log(spot / strike) + (rate - dividend_yield + 0.5 * vol**2) * maturity
     ) / sig_sqrt_t
+    return d1, d1 - sig_sqrt_t
 
 
-def call_price(spot, strike, rate, dividend_yield, vol, maturity):
-    """European call value; broadcasts over array arguments."""
-    d1 = _d1(spot, strike, rate, dividend_yield, vol, maturity)
-    d2 = d1 - vol * np.sqrt(maturity)
-    return spot * np.exp(-dividend_yield * maturity) * ndtr(d1) - strike * np.exp(
-        -rate * maturity
-    ) * ndtr(d2)
+def _price(is_call, d1, d2, spot, strike, rate, dividend_yield, maturity):
+    """One right's price from its d1 and d2; broadcasts.
 
-
-def put_price(spot, strike, rate, dividend_yield, vol, maturity):
-    """European put value; broadcasts over array arguments."""
-    d1 = _d1(spot, strike, rate, dividend_yield, vol, maturity)
-    d2 = d1 - vol * np.sqrt(maturity)
+    Each expression is written out, so its temporaries are freed as soon
+    as they are used.  A put stays bond N(-d2) - forward N(-d1) rather
+    than the negated call expression, which would turn a zero put into
+    -0.0.
+    """
+    if is_call:
+        return spot * np.exp(-dividend_yield * maturity) * ndtr(d1) - strike * np.exp(
+            -rate * maturity
+        ) * ndtr(d2)
     return strike * np.exp(-rate * maturity) * ndtr(-d2) - spot * np.exp(
         -dividend_yield * maturity
     ) * ndtr(-d1)
 
 
-def _require_european(spec: OptionSpec, what: str):
+def call_price(spot, strike, rate, dividend_yield, vol, maturity):
+    """European call value; broadcasts over array arguments."""
+    d1, d2 = d1_d2(spot, strike, rate, dividend_yield, vol, maturity)
+    return _price(True, d1, d2, spot, strike, rate, dividend_yield, maturity)
+
+
+def put_price(spot, strike, rate, dividend_yield, vol, maturity):
+    """European put value; broadcasts over array arguments."""
+    d1, d2 = d1_d2(spot, strike, rate, dividend_yield, vol, maturity)
+    return _price(False, d1, d2, spot, strike, rate, dividend_yield, maturity)
+
+
+def _out_of_range(spec: OptionSpec, mkt: MarketState) -> PricingError:
+    return PricingError(
+        f"closed form leaves the float range: strike {spec.strike:g}, "
+        f"maturity {spec.maturity:g}, {mkt}"
+    )
+
+
+def bsm_valuation(spec: OptionSpec, mkt: MarketState) -> tuple[float, float, float]:
+    """Price, delta and gamma of a European option from one d1.
+
+    Delta is e^{-qT} N(d1) for calls and -e^{-qT} N(-d1) for puts; gamma is
+    e^{-qT} n(d1) / (S sigma sqrt(T)) for both.  Inputs whose d1 or values
+    leave the float range raise ``PricingError``; a d1 so large that n(d1)
+    underflows gives gamma 0.
+    """
     if spec.style is not ExerciseStyle.EUROPEAN:
         raise UnsupportedStyleError(
-            f"{what} is closed-form European only, got {spec.style.value}"
+            f"closed form is European only, got {spec.style.value}"
         )
+    is_call = spec.right is OptionRight.CALL
+    sign = 1.0 if is_call else -1.0
+    spot, strike, maturity = mkt.spot, spec.strike, spec.maturity
+    rate, dividend_yield = mkt.rate, mkt.dividend_yield
+    with np.errstate(all="ignore"):
+        try:
+            d1, d2 = d1_d2(spot, strike, rate, dividend_yield, mkt.vol, maturity)
+        except OverflowError:  # vol**2 beyond the float range
+            raise _out_of_range(spec, mkt) from None
+        price = _price(is_call, d1, d2, spot, strike, rate, dividend_yield, maturity)
+        decay = np.exp(-dividend_yield * maturity)
+        delta = sign * decay * ndtr(sign * d1)
+        density = np.exp(-0.5 * d1**2) / math.sqrt(2.0 * math.pi)
+        gamma = decay * density / (spot * mkt.vol * math.sqrt(maturity))
+    if not all(map(math.isfinite, (d1, price, delta, gamma))):
+        raise _out_of_range(spec, mkt)
+    return float(price), float(delta), float(gamma)
 
 
 def bsm_price(spec: OptionSpec, mkt: MarketState) -> float:
-    """Closed-form price of a European option."""
-    _require_european(spec, "bsm_price")
-    args = (mkt.spot, spec.strike, mkt.rate, mkt.dividend_yield, mkt.vol, spec.maturity)
-    if spec.right is OptionRight.CALL:
-        return float(call_price(*args))
-    return float(put_price(*args))
+    """Closed-form price of a European option; see ``bsm_valuation``."""
+    return bsm_valuation(spec, mkt)[0]
 
 
 def bsm_delta(spec: OptionSpec, mkt: MarketState) -> float:
-    """Closed-form spot delta: e^{-qT} N(d1) for calls, -e^{-qT} N(-d1) for puts."""
-    _require_european(spec, "bsm_delta")
-    d = d1_d2(mkt, spec.strike, spec.maturity)
-    decay = math.exp(-mkt.dividend_yield * spec.maturity)
-    if spec.right is OptionRight.CALL:
-        return decay * ndtr(d.d1)
-    return -decay * ndtr(-d.d1)
+    """Closed-form spot delta; see ``bsm_valuation``."""
+    return bsm_valuation(spec, mkt)[1]
 
 
 def bsm_gamma(spec: OptionSpec, mkt: MarketState) -> float:
-    """Closed-form gamma e^{-qT} n(d1) / (S sigma sqrt(T)); same for both rights."""
-    _require_european(spec, "bsm_gamma")
-    d = d1_d2(mkt, spec.strike, spec.maturity)
-    try:
-        density = math.exp(-0.5 * d.d1**2) / math.sqrt(2.0 * math.pi)
-    except OverflowError:
-        density = 0.0  # d1**2 beyond the float range: exp underflows to 0
-    return (
-        math.exp(-mkt.dividend_yield * spec.maturity)
-        * density
-        / (mkt.spot * mkt.vol * math.sqrt(spec.maturity))
-    )
+    """Closed-form gamma, the same for both rights; see ``bsm_valuation``."""
+    return bsm_valuation(spec, mkt)[2]

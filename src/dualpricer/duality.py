@@ -1,17 +1,21 @@
 """Pricing through the swapped problem.
 
 A put on spot S struck at K with rates (r, q) has the same value as a call
-on "spot" K struck at S with rates (q, r); the swap also carries the
-original strike sensitivity, so delta and gamma come back out of the
-swapped problem with a scale factor.  Everything here is engine-agnostic:
-any object with price/delta/gamma methods over (OptionSpec, MarketState),
-plus a ``valuation`` method giving all three from one evaluation, works,
-and both supplied engines are stateless.
+on "spot" K struck at S with rates (q, r); ``to_dual`` builds that swapped
+(spec, market) pair.  The swap also carries the original strike
+sensitivity, so ``from_dual_valuation`` turns the swapped problem's price,
+delta and gamma into the original's, and rejects a result that leaves the
+float range.  Everything here is engine-agnostic: any object with
+price/delta/gamma methods over (OptionSpec, MarketState), plus a
+``valuation`` method giving all three from one evaluation, works.  Both
+supplied engines are stateless, and ``AnalyticEngine.valuation`` is
+``analytic.bsm_valuation``.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 
 from . import analytic
@@ -20,7 +24,6 @@ from .errors import PricingError
 from . import lattice
 
 __all__ = [
-    "DualProblem",
     "to_dual",
     "AnalyticEngine",
     "LatticeEngine",
@@ -34,23 +37,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DualProblem:
-    """The swapped twin of an option.
+_FLIP = {OptionRight.CALL: OptionRight.PUT, OptionRight.PUT: OptionRight.CALL}
+
+
+def to_dual(spec: OptionSpec, mkt: MarketState) -> tuple[OptionSpec, MarketState]:
+    """The swapped twin of an option, as a (spec, market) pair.
 
     The twin flips the right, exchanges spot with strike, and exchanges the
     rate with the dividend yield; style, volatility, and maturity carry over.
     Applying the construction twice returns the original problem.
     """
-
-    dual: tuple[OptionSpec, MarketState]
-
-
-_FLIP = {OptionRight.CALL: OptionRight.PUT, OptionRight.PUT: OptionRight.CALL}
-
-
-def to_dual(spec: OptionSpec, mkt: MarketState) -> DualProblem:
-    """Build the swapped problem for one option."""
     dual_spec = OptionSpec(
         right=_FLIP[spec.right],
         style=spec.style,
@@ -63,7 +59,7 @@ def to_dual(spec: OptionSpec, mkt: MarketState) -> DualProblem:
         dividend_yield=mkt.rate,
         vol=mkt.vol,
     )
-    return DualProblem(dual=(dual_spec, dual_mkt))
+    return dual_spec, dual_mkt
 
 
 class AnalyticEngine:
@@ -79,11 +75,7 @@ class AnalyticEngine:
         return analytic.bsm_gamma(spec, mkt)
 
     def valuation(self, spec: OptionSpec, mkt: MarketState) -> tuple[float, float, float]:
-        return (
-            analytic.bsm_price(spec, mkt),
-            analytic.bsm_delta(spec, mkt),
-            analytic.bsm_gamma(spec, mkt),
-        )
+        return analytic.bsm_valuation(spec, mkt)
 
     def __repr__(self):
         return "AnalyticEngine()"
@@ -110,7 +102,7 @@ class LatticeEngine:
 
 def price_via_dual(spec: OptionSpec, mkt: MarketState, engine) -> float:
     """Price the swapped problem; equals the direct price."""
-    dual_spec, dual_mkt = to_dual(spec, mkt).dual
+    dual_spec, dual_mkt = to_dual(spec, mkt)
     return engine.price(dual_spec, dual_mkt)
 
 
@@ -122,11 +114,19 @@ def from_dual_valuation(
     The swapped value V~ is the original price.  Its delta D~ (a strike
     sensitivity of the original) and gamma G~ give the spot Greeks as
     (V~ - K D~) / S and (K^2 / S^2) G~, with K, S the original strike and
-    spot.
+    spot.  A result that is not finite raises ``PricingError``.
     """
     dual_price, dual_delta, dual_gamma = dual_valuation
     delta = (dual_price - spec.strike * dual_delta) / mkt.spot
-    gamma = (spec.strike**2 / mkt.spot**2) * dual_gamma
+    try:
+        gamma = (spec.strike**2 / mkt.spot**2) * dual_gamma
+    except (OverflowError, ZeroDivisionError):  # K^2 or S^2 out of the float range
+        gamma = math.nan
+    if not all(map(math.isfinite, (dual_price, delta, gamma))):
+        raise PricingError(
+            "Greeks recovered from the swapped problem leave the float range "
+            f"(strike {spec.strike}, spot {mkt.spot})"
+        )
     return dual_price, delta, gamma
 
 
@@ -134,7 +134,7 @@ def valuation_via_dual(
     spec: OptionSpec, mkt: MarketState, engine
 ) -> tuple[float, float, float]:
     """Price, delta and gamma from one valuation of the swapped problem."""
-    dual_spec, dual_mkt = to_dual(spec, mkt).dual
+    dual_spec, dual_mkt = to_dual(spec, mkt)
     return from_dual_valuation(spec, mkt, engine.valuation(dual_spec, dual_mkt))
 
 

@@ -254,18 +254,24 @@ def _portfolio_minus_target(cfg, w, spot, wing_tau, mid_tau, target_tau):
     return portfolio - target, target
 
 
-def gross_error(cfg: HedgeConfig, w: HedgeWeights, spot_at_horizon: float):
-    """Portfolio minus target at the horizon, in currency and in percent."""
-    _require_valuation_horizon(cfg)
-    _require_spot("spot at the horizon", spot_at_horizon)
-    diff, target = _portfolio_minus_target(
-        cfg,
-        w,
-        spot_at_horizon,
+def _horizon_taus(cfg: HedgeConfig):
+    """Times left at the horizon: wing, middle and target expiries."""
+    return (
         cfg.wing_maturity - cfg.horizon,
         cfg.mid_maturity - cfg.horizon,
         cfg.target_maturity - cfg.horizon,
     )
+
+
+def _at_horizon(cfg: HedgeConfig, w: HedgeWeights, spot_at_horizon: float):
+    _require_valuation_horizon(cfg)
+    _require_spot("spot at the horizon", spot_at_horizon)
+    return _portfolio_minus_target(cfg, w, spot_at_horizon, *_horizon_taus(cfg))
+
+
+def gross_error(cfg: HedgeConfig, w: HedgeWeights, spot_at_horizon: float):
+    """Portfolio minus target at the horizon, in currency and in percent."""
+    diff, target = _at_horizon(cfg, w, spot_at_horizon)
     return float(diff), float(100.0 * diff / target)
 
 
@@ -303,11 +309,7 @@ def true_errors(
     spots = np.asarray(spots_at_horizon, dtype=float)
     cost, _ = net_cost(cfg, w, spot_at_start)
     carried = cost * math.exp(cfg.rate * cfg.horizon)
-    taus = (
-        cfg.wing_maturity - cfg.horizon,
-        cfg.mid_maturity - cfg.horizon,
-        cfg.target_maturity - cfg.horizon,
-    )
+    taus = _horizon_taus(cfg)
     flat = spots.reshape(-1)
     errors, target = np.empty(flat.size), np.empty(flat.size)
     for start in range(0, flat.size, _BLOCK):
@@ -321,23 +323,20 @@ def true_errors(
 def true_error(
     cfg: HedgeConfig, w: HedgeWeights, spot_at_0: float, spot_at_Th: float
 ) -> HedgeReport:
-    """Full error report for one known setup spot and one horizon spot."""
-    eps, eps_pct = gross_error(cfg, w, spot_at_Th)
+    """Full error report for one known setup spot and one horizon spot.
+
+    The horizon spot is valued once; its hedged-call price is the
+    denominator of both the gross and the true error percentages.
+    """
+    diff, target = _at_horizon(cfg, w, spot_at_Th)
+    eps = float(diff)
     cost, cost_pct = net_cost(cfg, w, spot_at_0)
     err = eps - cost * math.exp(cfg.rate * cfg.horizon)
-    _, target_at_horizon = _portfolio_minus_target(
-        cfg,
-        w,
-        spot_at_Th,
-        cfg.wing_maturity - cfg.horizon,
-        cfg.mid_maturity - cfg.horizon,
-        cfg.target_maturity - cfg.horizon,
-    )
     return HedgeReport(
         gross_error=eps,
-        gross_error_pct=eps_pct,
+        gross_error_pct=float(100.0 * diff / target),
         net_cost=cost,
         net_cost_pct=cost_pct,
         true_error=float(err),
-        true_error_pct=float(100.0 * err / target_at_horizon),
+        true_error_pct=float(100.0 * err / target),
     )

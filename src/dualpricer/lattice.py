@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 from . import _crr_numpy as _kernel
@@ -28,6 +29,9 @@ BACKEND = _kernel.NAME
 
 # Ten times the largest tree any report or test uses (2,000 steps).
 MAX_STEPS = 20_000
+
+# Largest x with e^x finite.
+_LOG_MAX = math.log(sys.float_info.max)
 
 __all__ = [
     "BACKEND",
@@ -57,7 +61,8 @@ def build_lattice(mkt: MarketState, maturity: float, steps: int) -> LatticeParam
 
     The risk-neutral up-probability is (e^{(r-q) dt} - d)/(u - d); it must
     land strictly inside (0, 1) or the step admits arbitrage.  Steps must
-    lie in [1, MAX_STEPS].
+    lie in [1, MAX_STEPS], and the top node S u^N = S e^{sigma sqrt(T N)}
+    must be finite.
     """
     if steps < 1:
         raise PricingError(f"steps must be >= 1, got {steps}")
@@ -65,10 +70,18 @@ def build_lattice(mkt: MarketState, maturity: float, steps: int) -> LatticeParam
         raise PricingError(f"steps must be <= {MAX_STEPS}, got {steps}")
     if not maturity > 0:
         raise PricingError(f"maturity must be positive, got {maturity}")
+    spread = mkt.vol * math.sqrt(maturity * steps)
+    if not max(math.log(mkt.spot), 0.0) + spread < _LOG_MAX:
+        raise PricingError(
+            f"tree overflows: top node spot e^(vol sqrt(T steps)) = "
+            f"{mkt.spot:g} e^{spread:.6g} is beyond the float range"
+        )
     dt = maturity / steps
     up = math.exp(mkt.vol * math.sqrt(dt))
     down = 1.0 / up
-    growth = math.exp((mkt.rate - mkt.dividend_yield) * dt)
+    drift = (mkt.rate - mkt.dividend_yield) * dt
+    # e^drift overflows only where it far exceeds u: an arbitrage step.
+    growth = math.exp(drift) if drift < _LOG_MAX else math.inf
     if not down < growth < up:
         raise NoArbitrageError(
             f"no-arbitrage violation: e^((r-q) dt) = {growth:.6f} outside "

@@ -130,7 +130,7 @@ def table2(steps: int = 365) -> TableData:
     valuations = []
     for spot in _PRICING_SPOTS:
         mkt = MarketState(spot, 0.06, 0.0, _PRICING_VOL)
-        dual_tree = engine.valuation(*to_dual(spec, mkt).dual)
+        dual_tree = engine.valuation(*to_dual(spec, mkt))
         via = from_dual_valuation(spec, mkt, dual_tree)
         valuations.append((spot, engine.valuation(spec, mkt), dual_tree, via))
     rows = []
@@ -203,109 +203,86 @@ _HEDGE_SPOTS = tuple(float(s) for s in range(35, 90, 5))
 _TRUE_ERROR_SPOTS = (45.0, 50.0, 55.0)
 
 
-def _schemes(scheme: HedgeScheme | None):
-    wanted = (
-        (HedgeScheme.BSM_DUAL, HedgeScheme.WU_ZHU) if scheme is None else (scheme,)
-    )
-    return [(s, solve_weights(DEFAULT_HEDGE, s)) for s in wanted]
-
-
 def _scheme_key(scheme: HedgeScheme) -> str:
     return scheme.value.replace("-", "_")
+
+
+def _hedged_call(spot: float, tau: float) -> float:
+    cfg = DEFAULT_HEDGE
+    return float(
+        call_price(spot, cfg.target_strike, cfg.rate, cfg.dividend_yield, cfg.vol, tau)
+    )
+
+
+def _hedge_table(name, title, lead, rows, suffix, values, scheme) -> TableData:
+    """A t4-t6 table: lead columns, then a value and a percent per scheme.
+
+    ``lead`` holds the (header, format) of each lead column and ``rows``
+    the lead cells of each row; ``values(cells, weights)`` gives one
+    scheme's (value, percent) for a row.
+    """
+    wanted = (HedgeScheme.BSM_DUAL, HedgeScheme.WU_ZHU) if scheme is None else (scheme,)
+    pairs = [(s, solve_weights(DEFAULT_HEDGE, s)) for s in wanted]
+    headers = [header for header, _ in lead]
+    formats = [fmt for _, fmt in lead]
+    for s, _ in pairs:
+        headers += [f"{_scheme_key(s)}_{suffix}", f"{_scheme_key(s)}_{suffix}_pct"]
+        formats += [".3f", ".2f"]
+    body = []
+    for cells in rows:
+        row = list(cells)
+        for _, w in pairs:
+            row += values(cells, w)
+        body.append(tuple(row))
+    return TableData(name, title, tuple(headers), tuple(formats), tuple(body))
 
 
 def table4(scheme: HedgeScheme | None = None) -> TableData:
     """Gross hedge error across horizon spots."""
     cfg = DEFAULT_HEDGE
-    pairs = _schemes(scheme)
-    headers = ["spot_at_horizon", "hedged_call"]
-    formats = ["g", ".3f"]
-    for s, _ in pairs:
-        headers += [f"{_scheme_key(s)}_gross", f"{_scheme_key(s)}_gross_pct"]
-        formats += [".3f", ".2f"]
-    rows = []
-    for spot in _HEDGE_SPOTS:
-        hedged = float(
-            call_price(
-                spot,
-                cfg.target_strike,
-                cfg.rate,
-                cfg.dividend_yield,
-                cfg.vol,
-                cfg.target_maturity - cfg.horizon,
-            )
-        )
-        row = [spot, hedged]
-        for _, w in pairs:
-            eps, pct = gross_error(cfg, w, spot)
-            row += [eps, pct]
-        rows.append(tuple(row))
-    return TableData(
-        name="t4",
-        title="Gross hedge errors at the end of the hedge period",
-        headers=tuple(headers),
-        formats=tuple(formats),
-        rows=tuple(rows),
+    return _hedge_table(
+        "t4",
+        "Gross hedge errors at the end of the hedge period",
+        (("spot_at_horizon", "g"), ("hedged_call", ".3f")),
+        (
+            (spot, _hedged_call(spot, cfg.target_maturity - cfg.horizon))
+            for spot in _HEDGE_SPOTS
+        ),
+        "gross",
+        lambda cells, w: gross_error(cfg, w, cells[0]),
+        scheme,
     )
 
 
 def table5(scheme: HedgeScheme | None = None) -> TableData:
     """Net cost of the hedge at setup across starting spots."""
     cfg = DEFAULT_HEDGE
-    pairs = _schemes(scheme)
-    headers = ["spot_at_0", "hedged_call"]
-    formats = ["g", ".3f"]
-    for s, _ in pairs:
-        headers += [f"{_scheme_key(s)}_cost", f"{_scheme_key(s)}_cost_pct"]
-        formats += [".3f", ".2f"]
-    rows = []
-    for spot in _HEDGE_SPOTS:
-        hedged = float(
-            call_price(
-                spot,
-                cfg.target_strike,
-                cfg.rate,
-                cfg.dividend_yield,
-                cfg.vol,
-                cfg.target_maturity,
-            )
-        )
-        row = [spot, hedged]
-        for _, w in pairs:
-            cost, pct = net_cost(cfg, w, spot)
-            row += [cost, pct]
-        rows.append(tuple(row))
-    return TableData(
-        name="t5",
-        title="Net costs of the hedge at setup",
-        headers=tuple(headers),
-        formats=tuple(formats),
-        rows=tuple(rows),
+    return _hedge_table(
+        "t5",
+        "Net costs of the hedge at setup",
+        (("spot_at_0", "g"), ("hedged_call", ".3f")),
+        ((spot, _hedged_call(spot, cfg.target_maturity)) for spot in _HEDGE_SPOTS),
+        "cost",
+        lambda cells, w: net_cost(cfg, w, cells[0]),
+        scheme,
     )
 
 
 def table6(scheme: HedgeScheme | None = None) -> TableData:
     """True hedge errors for known start and horizon spots."""
-    cfg = DEFAULT_HEDGE
-    pairs = _schemes(scheme)
-    headers = ["spot_at_0", "spot_at_horizon"]
-    formats = ["g", "g"]
-    for s, _ in pairs:
-        headers += [f"{_scheme_key(s)}_true", f"{_scheme_key(s)}_true_pct"]
-        formats += [".3f", ".2f"]
-    rows = []
-    for s0, sh in itertools.product(_TRUE_ERROR_SPOTS, _TRUE_ERROR_SPOTS):
-        row = [s0, sh]
-        for _, w in pairs:
-            report = true_error(cfg, w, s0, sh)
-            row += [report.true_error, report.true_error_pct]
-        rows.append(tuple(row))
-    return TableData(
-        name="t6",
-        title="True hedge errors with known start and horizon spots",
-        headers=tuple(headers),
-        formats=tuple(formats),
-        rows=tuple(rows),
+
+    def true_pair(cells, w):
+        report = true_error(DEFAULT_HEDGE, w, *cells)
+        return report.true_error, report.true_error_pct
+
+    return _hedge_table(
+        "t6",
+        "True hedge errors with known start and horizon spots",
+        (("spot_at_0", "g"), ("spot_at_horizon", "g")),
+        itertools.product(_TRUE_ERROR_SPOTS, _TRUE_ERROR_SPOTS),
+        "true",
+        true_pair,
+        scheme,
     )
 
 

@@ -371,7 +371,7 @@ def test_criterion_7_identity_suite(capsys):
 
     spec = OptionSpec(OptionRight.PUT, ExerciseStyle.EUROPEAN, 45.0, 0.75)
     mkt = MarketState(52.0, 0.04, 0.01, 0.3)
-    involution_ok = to_dual(*to_dual(spec, mkt).dual).dual == (spec, mkt)
+    involution_ok = to_dual(*to_dual(spec, mkt)) == (spec, mkt)
 
     stripped = replace(
         DEFAULT_HEDGE,

@@ -1,12 +1,16 @@
 """Closed-form pricing: golden values, parity, duality, and FD Greeks."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from dualpricer import (
-    D1D2,
+    AnalyticEngine,
     ExerciseStyle,
     MarketState,
     OptionRight,
@@ -16,9 +20,12 @@ from dualpricer import (
     bsm_delta,
     bsm_gamma,
     bsm_price,
+    bsm_valuation,
     call_price,
     d1_d2,
     put_price,
+    to_dual,
+    valuation_via_dual,
 )
 
 
@@ -40,45 +47,29 @@ def random_params(seed, count):
 
 
 def test_d1_d2_atm_symmetric():
-    mkt = MarketState(100.0, 0.03, 0.03, 0.2)
-    d = d1_d2(mkt, 100.0, 1.0)
-    assert d.d1 == pytest.approx(0.1, abs=1e-15)
-    assert d.d2 == pytest.approx(-0.1, abs=1e-15)
+    d1, d2 = d1_d2(100.0, 100.0, 0.03, 0.03, 0.2, 1.0)
+    assert d1 == pytest.approx(0.1, abs=1e-15)
+    assert d2 == pytest.approx(-0.1, abs=1e-15)
 
 
 def test_d1_d2_frozen_value():
-    mkt = MarketState(50.0, 0.05, 0.01, 0.20)
-    d = d1_d2(mkt, 50.0, 0.5)
-    assert d.d1 == pytest.approx(0.2121320343559642, abs=1e-15)
-    assert d.d2 == pytest.approx(0.07071067811865467, abs=1e-15)
+    d1, d2 = d1_d2(50.0, 50.0, 0.05, 0.01, 0.20, 0.5)
+    assert d1 == pytest.approx(0.2121320343559642, abs=1e-15)
+    assert d2 == pytest.approx(0.07071067811865467, abs=1e-15)
 
 
 def test_d1_d2_difference_is_sig_sqrt_t():
     for seed in range(5):
         spot, strike, rate, div, vol, mat = random_params(seed, 50)
-        for i in range(50):
-            mkt = MarketState(spot[i], rate[i], div[i], vol[i])
-            d = d1_d2(mkt, strike[i], mat[i])
-            assert d.d1 - d.d2 == pytest.approx(
-                vol[i] * math.sqrt(mat[i]), rel=1e-12
-            )
+        d1, d2 = d1_d2(spot, strike, rate, div, vol, mat)
+        assert d1 - d2 == pytest.approx(vol * np.sqrt(mat), rel=1e-12)
 
 
 def test_d1_d2_dual_negation():
-    mkt = MarketState(50.0, 0.05, 0.01, 0.20)
-    d = d1_d2(mkt, 42.0, 0.5)
-    swapped = MarketState(42.0, 0.01, 0.05, 0.20)
-    dual = d1_d2(swapped, 50.0, 0.5)
-    assert dual.d1 == pytest.approx(-d.d2, abs=1e-12)
-    assert dual.d2 == pytest.approx(-d.d1, abs=1e-12)
-
-
-def test_d1_d2_rejects_degenerate_maturity():
-    mkt = MarketState(50.0, 0.05, 0.01, 0.20)
-    with pytest.raises(PricingError):
-        d1_d2(mkt, 50.0, 0.0)
-    with pytest.raises(PricingError):
-        d1_d2(mkt, -1.0, 0.5)
+    d1, d2 = d1_d2(50.0, 42.0, 0.05, 0.01, 0.20, 0.5)
+    dual_d1, dual_d2 = d1_d2(42.0, 50.0, 0.01, 0.05, 0.20, 0.5)
+    assert dual_d1 == pytest.approx(-d2, abs=1e-12)
+    assert dual_d2 == pytest.approx(-d1, abs=1e-12)
 
 
 def test_market_state_validation():
@@ -122,10 +113,35 @@ def test_deep_itm_call_limit():
     assert price == pytest.approx(forward_intrinsic, rel=1e-12)
 
 
+def test_huge_vol_limits():
+    # sigma sqrt(T) -> inf: the call is worth the forward, the put the bond
+    mkt = MarketState(36.0, 0.06, 0.02, 1e150)
+    call = bsm_valuation(euro(OptionRight.CALL), mkt)
+    put = bsm_valuation(euro(OptionRight.PUT), mkt)
+    assert call == pytest.approx((36.0 * math.exp(-0.02), math.exp(-0.02), 0.0), rel=1e-15)
+    assert put == pytest.approx((40.0 * math.exp(-0.06), 0.0, 0.0), rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "mkt,strike",
+    [
+        (MarketState(36.0, 0.06, 0.0, 1e200), 40.0),
+        (MarketState(36.0, -1e300, 0.0, 0.2), 40.0),
+        (MarketState(36.0, 0.06, -1e300, 0.2), 40.0),
+        (MarketState(1e-300, 0.06, 0.0, 0.2), 1e300),
+    ],
+    ids=["huge-vol", "huge-negative-rate", "huge-negative-yield", "extreme-moneyness"],
+)
+@pytest.mark.parametrize("right", [OptionRight.CALL, OptionRight.PUT])
+def test_valuation_beyond_float_range_raises(mkt, strike, right):
+    with pytest.raises(PricingError, match="float range"):
+        bsm_valuation(euro(right, strike=strike), mkt)
+
+
 def test_rejects_american_style():
     mkt = MarketState(40.0, 0.06, 0.0, 0.40)
     spec = OptionSpec(OptionRight.PUT, ExerciseStyle.AMERICAN, 40.0, 1.0)
-    for fn in (bsm_price, bsm_delta, bsm_gamma):
+    for fn in (bsm_valuation, bsm_price, bsm_delta, bsm_gamma):
         with pytest.raises(UnsupportedStyleError):
             fn(spec, mkt)
 
@@ -244,3 +260,124 @@ def test_second_derivative_identity():
         lhs = spot**2 * gammas
         rhs = strike**2 * v_kk
         assert np.max(np.abs(lhs - rhs) / np.maximum(np.abs(lhs), 1e-10)) < 1e-4
+
+
+def reference_call_price(spot, strike, rate, dividend_yield, vol, maturity):
+    """The closed-form call as written before d1 had one implementation."""
+    sig_sqrt_t = vol * np.sqrt(maturity)
+    d1 = (
+        np.log(spot / strike) + (rate - dividend_yield + 0.5 * vol**2) * maturity
+    ) / sig_sqrt_t
+    d2 = d1 - vol * np.sqrt(maturity)
+    return spot * np.exp(-dividend_yield * maturity) * ndtr(d1) - strike * np.exp(
+        -rate * maturity
+    ) * ndtr(d2)
+
+
+def reference_put_price(spot, strike, rate, dividend_yield, vol, maturity):
+    """The closed-form put as written before d1 had one implementation."""
+    sig_sqrt_t = vol * np.sqrt(maturity)
+    d1 = (
+        np.log(spot / strike) + (rate - dividend_yield + 0.5 * vol**2) * maturity
+    ) / sig_sqrt_t
+    d2 = d1 - vol * np.sqrt(maturity)
+    return strike * np.exp(-rate * maturity) * ndtr(-d2) - spot * np.exp(
+        -dividend_yield * maturity
+    ) * ndtr(-d1)
+
+
+def bits(values):
+    """Bit patterns of floats, so 0.0 and -0.0 compare unequal."""
+    return [struct.pack("<d", float(v)) for v in np.ravel(values)]
+
+
+def wide_inputs():
+    """Valid closed-form inputs, deep in and out of the money included."""
+    return st.tuples(
+        st.floats(1e-3, 1e4),
+        st.floats(1e-3, 1e4),
+        st.floats(-0.2, 0.5),
+        st.floats(-0.2, 0.5),
+        st.floats(1e-3, 5.0),
+        st.floats(1e-4, 50.0),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(wide_inputs(), min_size=1, max_size=8))
+@example([(100.0, 1.0, 0.05, 0.0, 0.1, 0.25)])  # a put worth exactly 0.0
+@example([(1.0, 100.0, 0.05, 0.0, 0.1, 0.25)])  # a call worth exactly 0.0
+def test_prices_match_reference_bit_for_bit(rows):
+    for row in rows:
+        assert bits(call_price(*row)) == bits(reference_call_price(*row))
+        assert bits(put_price(*row)) == bits(reference_put_price(*row))
+    columns = [np.array(column) for column in zip(*rows)]
+    assert bits(call_price(*columns)) == bits(reference_call_price(*columns))
+    assert bits(put_price(*columns)) == bits(reference_put_price(*columns))
+
+
+@st.composite
+def europeans(draw):
+    """One European contract and market from the ``random_params`` domain."""
+    spot = draw(st.floats(20.0, 150.0))
+    strike = spot * math.exp(draw(st.floats(-0.4, 0.4)))
+    maturity = draw(st.floats(0.25, 2.5))
+    vol = max(draw(st.floats(0.15, 0.60)), 0.2 / math.sqrt(maturity))
+    right = draw(st.sampled_from(OptionRight))
+    mkt = MarketState(
+        spot, draw(st.floats(-0.02, 0.10)), draw(st.floats(-0.02, 0.10)), vol
+    )
+    return euro(right, strike=strike, maturity=maturity), mkt
+
+
+@settings(max_examples=200, deadline=None)
+@given(europeans())
+def test_valuation_is_price_delta_gamma(contract):
+    spec, mkt = contract
+    assert bsm_valuation(spec, mkt) == (
+        bsm_price(spec, mkt),
+        bsm_delta(spec, mkt),
+        bsm_gamma(spec, mkt),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(europeans())
+def test_put_call_parity_property(contract):
+    spec, mkt = contract
+    call = bsm_price(euro(OptionRight.CALL, spec.strike, spec.maturity), mkt)
+    put = bsm_price(euro(OptionRight.PUT, spec.strike, spec.maturity), mkt)
+    forward = mkt.spot * math.exp(-mkt.dividend_yield * spec.maturity) - spec.strike * (
+        math.exp(-mkt.rate * spec.maturity)
+    )
+    assert abs(call - put - forward) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(europeans())
+def test_valuation_via_dual_property(contract):
+    spec, mkt = contract
+    price, delta, gamma = bsm_valuation(spec, mkt)
+    via_price, via_delta, via_gamma = valuation_via_dual(spec, mkt, AnalyticEngine())
+    assert via_price == pytest.approx(price, abs=1e-12)
+    assert via_delta == pytest.approx(delta, abs=1e-10)
+    assert via_gamma == pytest.approx(gamma, abs=1e-8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(europeans())
+def test_to_dual_involution_property(contract):
+    spec, mkt = contract
+    assert to_dual(*to_dual(spec, mkt)) == (spec, mkt)
+
+
+@settings(max_examples=200, deadline=None)
+@given(europeans())
+def test_euler_identity_property(contract):
+    # V = S delta + K delta~, with delta~ the swapped problem's delta
+    spec, mkt = contract
+    price, delta, _ = bsm_valuation(spec, mkt)
+    dual_delta = bsm_delta(*to_dual(spec, mkt))
+    assert mkt.spot * delta + spec.strike * dual_delta == pytest.approx(
+        price, rel=1e-10
+    )

@@ -100,6 +100,39 @@ def test_price_too_many_steps_fails(capsys):
     assert err.startswith("error:") and "steps" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--style", "american", "-r", "0.06", "--vol", "50", "-T", "1", "--greeks", "--dual"],
+        ["--style", "american", "-r", "0.06", "--vol", "1e200", "-T", "1", "--greeks", "--dual"],
+        ["--style", "american", "-r", "0.06", "--vol", "0.4", "-T", "1e300", "--steps", "10",
+         "--greeks", "--dual"],
+        ["--style", "european", "-r=-1e300", "--vol", "0.2", "-T", "1", "--greeks"],
+        ["--style", "european", "--right", "call", "-r", "0.06", "-q=-1e300", "--vol", "0.2",
+         "-T", "1", "--greeks", "--dual"],
+        ["--style", "european", "-r", "0.06", "--vol", "1e200", "-T", "1"],
+        ["--style", "european", "--right", "call", "-S", "1e-300", "-K", "1e300", "-r", "0.06",
+         "--vol", "0.2", "-T", "1", "--greeks", "--dual"],
+    ],
+    ids=[
+        "tree-vol-50",
+        "tree-huge-vol",
+        "tree-huge-maturity",
+        "huge-negative-rate",
+        "huge-negative-yield",
+        "huge-vol",
+        "extreme-moneyness",
+    ],
+)
+def test_price_beyond_float_range_fails(argv, capsys):
+    # later flags win: the put at S 36, K 40 unless the case says otherwise
+    rc, out, err = run(["price", "--right", "put", "-S", "36", "-K", "40", *argv], capsys)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and "float range" in err
+    assert not re.search(r"\b(nan|inf)\b", err)
+
+
 def test_price_tiny_vol_greeks_are_finite(capsys):
     rc, out, err = run(
         [

@@ -38,7 +38,7 @@ def spec_of(right, style, strike=40.0, maturity=1.0):
 def test_to_dual_swaps_roles():
     spec = spec_of(OptionRight.PUT, ExerciseStyle.AMERICAN, strike=50.0)
     mkt = MarketState(40.0, 0.06, 0.0, 0.40)
-    dual_spec, dual_mkt = to_dual(spec, mkt).dual
+    dual_spec, dual_mkt = to_dual(spec, mkt)
     assert dual_spec.right is OptionRight.CALL
     assert dual_spec.style is ExerciseStyle.AMERICAN
     assert dual_spec.strike == 40.0
@@ -52,15 +52,15 @@ def test_to_dual_swaps_roles():
 def test_to_dual_is_involution():
     spec = spec_of(OptionRight.CALL, ExerciseStyle.EUROPEAN, strike=55.0, maturity=0.7)
     mkt = MarketState(48.0, 0.02, 0.05, 0.33)
-    once = to_dual(spec, mkt).dual
-    twice = to_dual(*once).dual
+    once = to_dual(spec, mkt)
+    twice = to_dual(*once)
     assert twice == (spec, mkt)
 
 
 def test_to_dual_fixed_point_up_to_right():
     spec = spec_of(OptionRight.CALL, ExerciseStyle.EUROPEAN, strike=50.0)
     mkt = MarketState(50.0, 0.03, 0.03, 0.25)
-    dual_spec, dual_mkt = to_dual(spec, mkt).dual
+    dual_spec, dual_mkt = to_dual(spec, mkt)
     assert dual_mkt == mkt
     assert dual_spec.right is OptionRight.PUT
     assert (dual_spec.strike, dual_spec.maturity) == (50.0, 1.0)
@@ -125,7 +125,7 @@ def test_dual_delta_is_strike_derivative():
     engine = AnalyticEngine()
     spec = spec_of(OptionRight.PUT, ExerciseStyle.EUROPEAN, strike=45.0, maturity=0.8)
     mkt = MarketState(52.0, 0.04, 0.015, 0.3)
-    dual_spec, dual_mkt = to_dual(spec, mkt).dual
+    dual_spec, dual_mkt = to_dual(spec, mkt)
     dual_delta = engine.delta(dual_spec, dual_mkt)
     h = 1e-5 * spec.strike
     fd = (

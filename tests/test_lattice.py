@@ -2,6 +2,7 @@
 
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -72,6 +73,18 @@ def test_build_lattice_rejects_bad_steps():
     assert build_lattice(mkt, 1.0, MAX_STEPS).steps == MAX_STEPS
     with pytest.raises(PricingError):
         build_lattice(mkt, 1.0, MAX_STEPS + 1)
+
+
+@pytest.mark.parametrize("spot", [1e-10, 1.0, 1e4])
+@pytest.mark.parametrize("right", [OptionRight.CALL, OptionRight.PUT])
+def test_build_lattice_top_node_limit(spot, right):
+    # the top node spot e^{vol sqrt(T N)} must stay below the largest float
+    steps, room = 100, math.log(sys.float_info.max) - max(math.log(spot), 0.0)
+    limit = room / math.sqrt(steps)
+    below = MarketState(spot, 0.05, 0.0, limit * (1 - 1e-9))
+    assert math.isfinite(lattice_price(american(right, strike=spot), below, steps))
+    with pytest.raises(PricingError, match="overflows"):
+        build_lattice(MarketState(spot, 0.05, 0.0, limit * (1 + 1e-9)), 1.0, steps)
 
 
 @pytest.mark.parametrize("spot,expected", PUT_GRID)
