@@ -269,14 +269,38 @@ def _at_horizon(cfg: HedgeConfig, w: HedgeWeights, spot_at_horizon: float):
     return _portfolio_minus_target(cfg, w, spot_at_horizon, *_horizon_taus(cfg))
 
 
+def _require_priced(target):
+    """Raise unless the hedged call is worth > 0 at every spot valued.
+
+    Its price is the denominator of every error percentage.
+    """
+    worth = np.min(target)
+    if not worth > 0:
+        raise PricingError(
+            f"hedged call is worth {worth:.3g}: no percentage of its price"
+        )
+
+
+def _percent(diff, target) -> float:
+    """``diff`` in percent of the hedged call's price, which must be > 0."""
+    _require_priced(target)
+    return float(100.0 * diff / target)
+
+
 def gross_error(cfg: HedgeConfig, w: HedgeWeights, spot_at_horizon: float):
-    """Portfolio minus target at the horizon, in currency and in percent."""
+    """Portfolio minus target at the horizon, in currency and in percent.
+
+    A hedged call worth 0 at the horizon spot raises ``PricingError``.
+    """
     diff, target = _at_horizon(cfg, w, spot_at_horizon)
-    return float(diff), float(100.0 * diff / target)
+    return float(diff), _percent(diff, target)
 
 
 def net_cost(cfg: HedgeConfig, w: HedgeWeights, spot_at_start: float):
-    """Portfolio minus target at setup, in currency and in percent."""
+    """Portfolio minus target at setup, in currency and in percent.
+
+    A hedged call worth 0 at the setup spot raises ``PricingError``.
+    """
     _require_spot("spot at setup", spot_at_start)
     diff, target = _portfolio_minus_target(
         cfg,
@@ -286,7 +310,7 @@ def net_cost(cfg: HedgeConfig, w: HedgeWeights, spot_at_start: float):
         cfg.mid_maturity,
         cfg.target_maturity,
     )
-    return float(diff), float(100.0 * diff / target)
+    return float(diff), _percent(diff, target)
 
 
 def true_errors(
@@ -296,8 +320,10 @@ def true_errors(
 
     Returns (errors, hedged-call prices at the horizon), both shaped like
     the spots; the latter is the percentage denominator.  The setup cost is
-    valued once and compounded to the horizon at the risk-free rate before
-    subtraction.  Every spot must be positive and finite.
+    valued once, by ``net_cost``, and compounded to the horizon at the
+    risk-free rate before subtraction.  Every spot must be positive and
+    finite, and the hedged call worth > 0 at each horizon spot, or
+    ``PricingError`` is raised.
 
     Spots are valued in blocks of ``_BLOCK``, whose 128 KiB temporaries
     stay in a core's L2 cache, and each block is written into the two
@@ -316,6 +342,7 @@ def true_errors(
         block = slice(start, start + _BLOCK)
         _require_spots("spot at the horizon", flat[block])
         eps, target[block] = _portfolio_minus_target(cfg, w, flat[block], *taus)
+        _require_priced(target[block])
         np.subtract(eps, carried, out=errors[block])
     return errors.reshape(spots.shape), target.reshape(spots.shape)
 
@@ -326,7 +353,8 @@ def true_error(
     """Full error report for one known setup spot and one horizon spot.
 
     The horizon spot is valued once; its hedged-call price is the
-    denominator of both the gross and the true error percentages.
+    denominator of both the gross and the true error percentages.  A hedged
+    call worth 0 at either spot raises ``PricingError``.
     """
     diff, target = _at_horizon(cfg, w, spot_at_Th)
     eps = float(diff)
@@ -334,9 +362,9 @@ def true_error(
     err = eps - cost * math.exp(cfg.rate * cfg.horizon)
     return HedgeReport(
         gross_error=eps,
-        gross_error_pct=float(100.0 * diff / target),
+        gross_error_pct=_percent(diff, target),
         net_cost=cost,
         net_cost_pct=cost_pct,
         true_error=float(err),
-        true_error_pct=float(100.0 * err / target),
+        true_error_pct=_percent(err, target),
     )

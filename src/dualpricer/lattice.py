@@ -62,7 +62,9 @@ def build_lattice(mkt: MarketState, maturity: float, steps: int) -> LatticeParam
     The risk-neutral up-probability is (e^{(r-q) dt} - d)/(u - d); it must
     land strictly inside (0, 1) or the step admits arbitrage.  Steps must
     lie in [1, MAX_STEPS], and the top node S u^N = S e^{sigma sqrt(T N)}
-    must be finite.
+    and the step discount e^{-r dt} must be finite.  A discount that
+    compounds beyond the float range is caught where the tree values are
+    read.
     """
     if steps < 1:
         raise PricingError(f"steps must be >= 1, got {steps}")
@@ -77,6 +79,11 @@ def build_lattice(mkt: MarketState, maturity: float, steps: int) -> LatticeParam
             f"{mkt.spot:g} e^{spread:.6g} is beyond the float range"
         )
     dt = maturity / steps
+    if not -mkt.rate * dt < _LOG_MAX:
+        raise PricingError(
+            f"tree step discount e^(-rate dt) leaves the float range: rate "
+            f"{mkt.rate:g}, dt {dt:g}"
+        )
     up = math.exp(mkt.vol * math.sqrt(dt))
     down = 1.0 / up
     drift = (mkt.rate - mkt.dividend_yield) * dt
@@ -93,7 +100,13 @@ def build_lattice(mkt: MarketState, maturity: float, steps: int) -> LatticeParam
 
 @functools.lru_cache(maxsize=1)
 def _nodes(*args):
-    return _kernel.induct(*args)
+    nodes = _kernel.induct(*args)
+    steps = args[5]
+    # Greeks read the step-1 and step-2 nodes; a one-step tree has no step 2.
+    used = nodes if steps >= 2 else nodes[:3]
+    if not all(map(math.isfinite, used)):
+        raise PricingError(f"tree values leave the float range at {steps} steps")
+    return nodes
 
 
 def _induct(spec: OptionSpec, mkt: MarketState, params: LatticeParams):
@@ -121,7 +134,8 @@ def lattice_valuation(
     """Price, delta and gamma from one induction.
 
     Delta is the first difference of the two step-1 node values; gamma is
-    the central second difference of the three step-2 node values.
+    the central second difference of the three step-2 node values.  Greeks
+    that leave the float range raise ``PricingError``.
     """
     if steps < 2:
         raise PricingError(f"tree Greeks need steps >= 2, got {steps}")
@@ -133,6 +147,8 @@ def lattice_valuation(
     slope_up = (v22 - v21) / (s_up - mkt.spot)
     slope_dn = (v21 - v20) / (mkt.spot - s_dn)
     gamma = (slope_up - slope_dn) / (0.5 * (s_up - s_dn))
+    if not (math.isfinite(delta) and math.isfinite(gamma)):
+        raise PricingError(f"tree Greeks leave the float range at {steps} steps")
     return v00, delta, gamma
 
 

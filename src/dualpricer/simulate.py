@@ -98,7 +98,8 @@ def run_hedge_sim(cfg: SimConfig, draws=None) -> SimSummary:
     ``draws`` overrides the seeded normal draws (length must equal
     ``cfg.paths``); it exists for degenerate-path tests and for sharing
     one shock set across schemes, and is never written to.  A terminal
-    spot that is not positive and finite raises ``PricingError``.
+    spot that is not positive and finite, or at which the hedged call is
+    worth 0, raises ``PricingError``.
     """
     if draws is None:
         z = normal_draws(cfg.seed, cfg.paths)

@@ -1,8 +1,14 @@
 """Command-line behavior: output lines, exit codes, config precedence."""
 
+import contextlib
+import io
+import math
 import re
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualpricer import PricingError
 from dualpricer.cli import main
@@ -113,6 +119,8 @@ def test_price_too_many_steps_fails(capsys):
         ["--style", "european", "-r", "0.06", "--vol", "1e200", "-T", "1"],
         ["--style", "european", "--right", "call", "-S", "1e-300", "-K", "1e300", "-r", "0.06",
          "--vol", "0.2", "-T", "1", "--greeks", "--dual"],
+        ["--style", "american", "-r=-1000", "-q=-1000", "--vol", "0.4", "-T", "1"],
+        ["--style", "american", "-r=-1e300", "-q=-1e300", "--vol", "0.4", "-T", "1"],
     ],
     ids=[
         "tree-vol-50",
@@ -122,6 +130,8 @@ def test_price_too_many_steps_fails(capsys):
         "huge-negative-yield",
         "huge-vol",
         "extreme-moneyness",
+        "tree-discount",
+        "tree-huge-discount",
     ],
 )
 def test_price_beyond_float_range_fails(argv, capsys):
@@ -131,6 +141,49 @@ def test_price_beyond_float_range_fails(argv, capsys):
     assert out == ""
     assert err.startswith("error:") and "float range" in err
     assert not re.search(r"\b(nan|inf)\b", err)
+
+
+EXTREMES = (0.0, 1e-300, -1e-300, 1e300, -1e300, math.inf, -math.inf, math.nan)
+
+
+def extreme_or(low, high):
+    return st.one_of(st.sampled_from(EXTREMES), st.floats(low, high))
+
+
+@st.composite
+def price_inputs(draw):
+    rate = draw(extreme_or(-1000.0, 1000.0))
+    # r = q gives a tree no drift, so only the discount bounds a large rate
+    dividend_yield = draw(st.one_of(st.just(rate), extreme_or(-1000.0, 1000.0)))
+    return {
+        "style": draw(st.sampled_from(["european", "american"])),
+        "right": draw(st.sampled_from(["call", "put"])),
+        "spot": draw(extreme_or(1.0, 200.0)),
+        "strike": draw(extreme_or(1.0, 200.0)),
+        "rate": rate,
+        "yield": dividend_yield,
+        "vol": draw(extreme_or(0.01, 2.0)),
+        "maturity": draw(extreme_or(0.01, 5.0)),
+        "steps": draw(st.integers(1, 200)),
+    }
+
+
+@settings(max_examples=500, deadline=None)
+@given(price_inputs())
+def test_price_prices_or_fails_cleanly(inputs):
+    # finite output and exit 0, or "error: ..." and exit 1; any other
+    # exception, a RuntimeWarning included, propagates out of main
+    argv = ["price", *(f"--{flag}={value}" for flag, value in inputs.items())]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([*argv, "--greeks", "--dual"])
+    assert not re.search(r"\b(nan|inf)\b", out.getvalue())
+    if rc == 0:
+        assert err.getvalue() == "" and out.getvalue().count("\n") == 7
+    else:
+        assert rc == 1 and err.getvalue().startswith("error:")
 
 
 def test_price_tiny_vol_greeks_are_finite(capsys):
@@ -259,6 +312,11 @@ def test_hedge_collapsed_strikes_fail(capsys):
         ["--sim", "--spot0", "50", "--mu=-1e300"],
         ["--vol", "1e-200"],
         ["--vol", "1e-105", "--scheme", "wu-zhu"],
+        ["--spot0", "1e-300", "--spotTh", "1e-300"],
+        ["--spotTh", "1e-300"],
+        ["--spot0", "1e-300"],
+        ["--sim", "--spot0", "1e-300", "--paths", "10"],
+        ["--sim", "--spot0", "50", "--mu=-400", "--paths", "10"],
     ],
     ids=[
         "infinite-maturity",
@@ -273,6 +331,11 @@ def test_hedge_collapsed_strikes_fail(capsys):
         "sim-huge-negative-drift",
         "tiny-vol-overflow",
         "tiny-vol-infinite-determinant",
+        "worthless-call",
+        "worthless-call-at-horizon",
+        "worthless-call-at-setup",
+        "sim-worthless-call",
+        "sim-worthless-paths",
     ],
 )
 def test_hedge_non_finite_result_fails(argv, capsys):

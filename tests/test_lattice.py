@@ -152,6 +152,26 @@ def test_greeks_need_two_steps():
         lattice_gamma(spec, mkt, 1)
 
 
+@pytest.mark.parametrize("right", [OptionRight.CALL, OptionRight.PUT])
+def test_live_overflow_raises(right):
+    # every rate and price is finite, but S e^{-qT} and K e^{-rT} are not
+    mkt = MarketState(1e305, -15.0, -15.0, 0.40)
+    spec = american(right, strike=1e305)
+    with pytest.raises(PricingError, match="float range"):
+        lattice_price(spec, mkt, 100)
+
+
+def test_discount_compounding_near_float_max_prices():
+    # -r T = 710 is past ln(max float), but the put is worth at most
+    # K e^{710} ~ 2e298; its gamma divides by S (u^2 - d^2) ~ 1.6e-11
+    mkt = MarketState(1e-10, -710.0, -710.0, 0.40)
+    spec = american(OptionRight.PUT, strike=1e-10)
+    price = lattice_price(spec, mkt, 100)
+    assert math.isfinite(price) and price > 0
+    with pytest.raises(PricingError, match="Greeks leave the float range"):
+        lattice_gamma(spec, mkt, 100)
+
+
 def test_numpy_kernel_single_step():
     out = _crr_numpy.induct(40.0, 40.0, 1.1, 0.5, 1.0, 1, True, False)
     assert out[0] == pytest.approx(0.5 * (40.0 * 1.1 - 40.0))
@@ -207,11 +227,25 @@ def trees(draw):
     return (spot, strike, up, prob_up, discount, steps, draw(st.booleans()), draw(st.booleans()))
 
 
+def chunk_edges(test):
+    """At K = S, both rights and styles, at steps around the kernel's chunk
+    edges, plus a 1000-step tree whose top live price is e^709, so dead
+    prices above it overflow."""
+    chunk = _crr_numpy._CHUNK
+    for steps in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 1000):
+        for is_call in (False, True):
+            for is_american in (False, True):
+                tree = (40.0, 40.0, 1.01, 0.5, 0.999, steps, is_call, is_american)
+                test = example(tree)(test)
+    return example((1.0, 1.0, math.exp(0.709), 0.5, 0.999, 1000, True, True))(test)
+
+
 @settings(max_examples=300, deadline=None)
 @given(trees())
 @example((40.0, 40.0, 1.1, 0.5, 0.99, 1, False, True))
 @example((40.0, 40.0, 1.1, 0.5, 0.99, 2, False, True))
 @example((40.0, 40.0, 1.1, 0.5, 0.99, 3, False, True))
 @example((40.0, 40.0, 1.1, 0.5, 0.99, 2, True, False))
+@chunk_edges
 def test_in_place_kernel_matches_allocating_reference(tree):
     assert bits(_crr_numpy.induct(*tree)) == bits(allocating_induct(*tree))
