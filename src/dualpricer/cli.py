@@ -176,9 +176,6 @@ def cmd_table(args) -> int:
     return 0
 
 
-_HEDGE_DEFAULTS = tables.DEFAULT_HEDGE
-
-
 def _pick(values: dict, key: str, flag, default, cast=float):
     """Flag beats config file beats built-in default."""
     if flag is not None:
@@ -202,7 +199,7 @@ def cmd_hedge(args) -> int:
             )
         values = exp.values
 
-    d = _HEDGE_DEFAULTS
+    d = tables.DEFAULT_HEDGE
     cfg = HedgeConfig(
         target_strike=_pick(values, "K", args.target_strike, d.target_strike),
         target_maturity=_pick(values, "T", args.target_maturity, d.target_maturity),

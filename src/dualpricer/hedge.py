@@ -10,14 +10,15 @@ moneyness variable h = (K_x - K) / (sigma K sqrt(T - T_h)).
 Two weighting schemes are supported: the full system ("bsm-dual"), and the
 zero-rates variant ("wu-zhu") that additionally moves the unwind time to
 the wing expiry, which is the published special case it degenerates to.
-All percentage figures are reported relative to the target call's price at
-the relevant time, in percent.
+Every report values its spots, of any shape, through one checked valuation
+and gives percentages of the target call's price at the relevant time.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -43,6 +44,8 @@ __all__ = [
 
 # Horizon spots valued per pass of ``true_errors``: 128 KiB per float64 array.
 _BLOCK = 1 << 14
+# Largest exponent whose math.exp is a float.
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 class HedgeScheme(enum.Enum):
@@ -101,8 +104,10 @@ class HedgeConfig:
                 "maturity ordering violated: hedging options must expire "
                 f"before the target at {self.target_maturity}"
             )
-        if not self.vol > 0:
-            raise HedgeConstraintError(f"vol must be positive, got {self.vol}")
+        if not 0 < self.vol < math.sqrt(sys.float_info.max):
+            raise HedgeConstraintError(
+                f"vol must be positive with a finite square, got {self.vol}"
+            )
 
 
 class HedgeCoefficients(NamedTuple):
@@ -223,94 +228,104 @@ def _overflow(hs) -> PricingError:
     )
 
 
-def _require_spot(name: str, spot: float):
-    if not (spot > 0 and math.isfinite(spot)):
-        raise PricingError(f"{name} must be positive and finite, got {spot}")
+def _valued(cfg: HedgeConfig, w: HedgeWeights, spots, at_horizon: bool):
+    """Portfolio minus target, and the target, at spots of any shape.
 
-
-def _require_spots(name: str, spots: np.ndarray):
-    """``_require_spot`` over an array: one min and one max when all pass."""
-    if not (spots.min() > 0 and spots.max() < math.inf):
-        bad = spots[~((spots > 0) & (spots < math.inf))]
-        _require_spot(name, float(bad[0]))
-
-
-def _require_valuation_horizon(cfg: HedgeConfig):
-    if cfg.horizon >= min(cfg.wing_maturity, cfg.mid_maturity):
-        raise HedgeConstraintError(
-            "valuation needs the horizon strictly before the nearest "
-            f"hedging expiry, got {cfg.horizon}"
-        )
-
-
-def _portfolio_minus_target(cfg, w, spot, wing_tau, mid_tau, target_tau):
-    args = (cfg.rate, cfg.dividend_yield, cfg.vol)
-    portfolio = (
-        w.w_low * call_price(spot, cfg.strike_low, *args, wing_tau)
-        + w.w_mid * call_price(spot, cfg.strike_mid, *args, mid_tau)
-        + w.w_high * call_price(spot, cfg.strike_high, *args, wing_tau)
-    )
-    target = call_price(spot, cfg.target_strike, *args, target_tau)
-    return portfolio - target, target
-
-
-def _horizon_taus(cfg: HedgeConfig):
-    """Times left at the horizon: wing, middle and target expiries."""
-    return (
-        cfg.wing_maturity - cfg.horizon,
-        cfg.mid_maturity - cfg.horizon,
-        cfg.target_maturity - cfg.horizon,
-    )
-
-
-def _at_horizon(cfg: HedgeConfig, w: HedgeWeights, spot_at_horizon: float):
-    _require_valuation_horizon(cfg)
-    _require_spot("spot at the horizon", spot_at_horizon)
-    return _portfolio_minus_target(cfg, w, spot_at_horizon, *_horizon_taus(cfg))
-
-
-def _require_priced(target):
-    """Raise unless the hedged call is worth > 0 at every spot valued.
-
-    Its price is the denominator of every error percentage.
+    The spots are at the horizon, which must come strictly before the
+    nearest hedging expiry, or at setup.  Raises ``PricingError`` unless
+    every spot is positive and finite (one min and one max when all are),
+    every value is finite, and the hedged call is worth > 0 at every spot:
+    its price is the denominator of every error percentage.
     """
+    if at_horizon:
+        if cfg.horizon >= min(cfg.wing_maturity, cfg.mid_maturity):
+            raise HedgeConstraintError(
+                "valuation needs the horizon strictly before the nearest "
+                f"hedging expiry, got {cfg.horizon}"
+            )
+        when, now = "the horizon", cfg.horizon
+    else:
+        when, now = "setup", 0.0
+    if not (np.min(spots) > 0 and np.max(spots) < math.inf):
+        spots = np.asarray(spots)
+        bad = spots[~((spots > 0) & (spots < math.inf))].flat[0]
+        raise PricingError(f"spot at {when} must be positive and finite, got {bad}")
+    args = (cfg.rate, cfg.dividend_yield, cfg.vol)
+    wing, mid = cfg.wing_maturity - now, cfg.mid_maturity - now
+    with np.errstate(all="ignore"):  # values out of the float range raise below
+        diff = (
+            w.w_low * call_price(spots, cfg.strike_low, *args, wing)
+            + w.w_mid * call_price(spots, cfg.strike_mid, *args, mid)
+            + w.w_high * call_price(spots, cfg.strike_high, *args, wing)
+        )
+        target = call_price(spots, cfg.target_strike, *args, cfg.target_maturity - now)
+        diff = diff - target
+    # a target out of the float range makes its difference so too
+    if not (-math.inf < np.min(diff) and np.max(diff) < math.inf):
+        raise PricingError(
+            f"hedge values at {when} leave the float range: vol {cfg.vol:g}, "
+            f"rate {cfg.rate:g}, yield {cfg.dividend_yield:g}"
+        )
     worth = np.min(target)
     if not worth > 0:
         raise PricingError(
             f"hedged call is worth {worth:.3g}: no percentage of its price"
         )
+    return diff, target
 
 
-def _percent(diff, target) -> float:
-    """``diff`` in percent of the hedged call's price, which must be > 0."""
-    _require_priced(target)
-    return float(100.0 * diff / target)
+def _less_carried(cfg: HedgeConfig, eps, cost):
+    """``eps`` minus the setup cost compounded to the horizon, cost e^{r T_h}.
+
+    Raises ``PricingError`` when the compounding or the difference leaves
+    the float range; the exponent is checked before ``math.exp``.
+    """
+    growth = cfg.rate * cfg.horizon
+    if growth < _LOG_MAX:
+        with np.errstate(over="ignore"):
+            err = eps - cost * math.exp(growth)
+        if np.all(np.isfinite(err)):
+            return err
+    raise PricingError(
+        f"setup cost compounded to the horizon at rate {cfg.rate:g} leaves "
+        "the float range"
+    )
 
 
-def gross_error(cfg: HedgeConfig, w: HedgeWeights, spot_at_horizon: float):
+def _percentages(target, *amounts):
+    """Each amount in percent of the hedged call's price ``target`` (> 0).
+
+    Raises ``PricingError`` when a percentage leaves the float range: the
+    hedged call is worth too little next to the amount.
+    """
+    with np.errstate(over="ignore"):
+        shares = [100.0 * amount / target for amount in amounts]
+    if not all(np.all(np.isfinite(share)) for share in shares):
+        raise PricingError(
+            f"hedged call is worth {np.min(target):.3g}: its percentages "
+            "leave the float range"
+        )
+    return shares
+
+
+def gross_error(cfg: HedgeConfig, w: HedgeWeights, spot_at_horizon):
     """Portfolio minus target at the horizon, in currency and in percent.
 
-    A hedged call worth 0 at the horizon spot raises ``PricingError``.
+    Broadcasts over the spots like ``call_price``; see ``_valued`` for the
+    spots and values that raise ``PricingError``.
     """
-    diff, target = _at_horizon(cfg, w, spot_at_horizon)
-    return float(diff), _percent(diff, target)
+    diff, target = _valued(cfg, w, spot_at_horizon, True)
+    return (diff, *_percentages(target, diff))
 
 
-def net_cost(cfg: HedgeConfig, w: HedgeWeights, spot_at_start: float):
+def net_cost(cfg: HedgeConfig, w: HedgeWeights, spot_at_start):
     """Portfolio minus target at setup, in currency and in percent.
 
-    A hedged call worth 0 at the setup spot raises ``PricingError``.
+    Broadcasts over the spots like ``call_price``; see ``_valued`` for the
+    spots and values that raise ``PricingError``.
     """
-    _require_spot("spot at setup", spot_at_start)
-    diff, target = _portfolio_minus_target(
-        cfg,
-        w,
-        spot_at_start,
-        cfg.wing_maturity,
-        cfg.mid_maturity,
-        cfg.target_maturity,
-    )
-    return float(diff), _percent(diff, target)
+    diff, target = _valued(cfg, w, spot_at_start, False)
+    return (diff, *_percentages(target, diff))
 
 
 def true_errors(
@@ -321,9 +336,9 @@ def true_errors(
     Returns (errors, hedged-call prices at the horizon), both shaped like
     the spots; the latter is the percentage denominator.  The setup cost is
     valued once, by ``net_cost``, and compounded to the horizon at the
-    risk-free rate before subtraction.  Every spot must be positive and
-    finite, and the hedged call worth > 0 at each horizon spot, or
-    ``PricingError`` is raised.
+    risk-free rate before subtraction.  Every block is checked as in
+    ``_valued``, and errors out of the float range raise ``PricingError``
+    too.
 
     Spots are valued in blocks of ``_BLOCK``, whose 128 KiB temporaries
     stay in a core's L2 cache, and each block is written into the two
@@ -331,40 +346,31 @@ def true_errors(
     spot plus about 1 MB of block temporaries, and each error is the same
     float as in a valuation of all spots at once.
     """
-    _require_valuation_horizon(cfg)
     spots = np.asarray(spots_at_horizon, dtype=float)
     cost, _ = net_cost(cfg, w, spot_at_start)
-    carried = cost * math.exp(cfg.rate * cfg.horizon)
-    taus = _horizon_taus(cfg)
     flat = spots.reshape(-1)
     errors, target = np.empty(flat.size), np.empty(flat.size)
     for start in range(0, flat.size, _BLOCK):
         block = slice(start, start + _BLOCK)
-        _require_spots("spot at the horizon", flat[block])
-        eps, target[block] = _portfolio_minus_target(cfg, w, flat[block], *taus)
-        _require_priced(target[block])
-        np.subtract(eps, carried, out=errors[block])
+        eps, target[block] = _valued(cfg, w, flat[block], True)
+        errors[block] = _less_carried(cfg, eps, cost)
     return errors.reshape(spots.shape), target.reshape(spots.shape)
 
 
 def true_error(
-    cfg: HedgeConfig, w: HedgeWeights, spot_at_0: float, spot_at_Th: float
+    cfg: HedgeConfig, w: HedgeWeights, spot_at_0, spot_at_Th
 ) -> HedgeReport:
-    """Full error report for one known setup spot and one horizon spot.
+    """Full error report for known setup and horizon spots.
 
-    The horizon spot is valued once; its hedged-call price is the
-    denominator of both the gross and the true error percentages.  A hedged
-    call worth 0 at either spot raises ``PricingError``.
+    Broadcasts like ``call_price``: the gross fields are shaped like the
+    horizon spots, the net-cost fields like the setup spots, and the true
+    fields like both together.  The horizon spots are valued once; their
+    hedged-call prices are the denominator of both the gross and the true
+    error percentages.  Raises ``PricingError`` as ``gross_error``,
+    ``net_cost`` and ``true_errors`` do.
     """
-    diff, target = _at_horizon(cfg, w, spot_at_Th)
-    eps = float(diff)
+    eps, target = _valued(cfg, w, spot_at_Th, True)
     cost, cost_pct = net_cost(cfg, w, spot_at_0)
-    err = eps - cost * math.exp(cfg.rate * cfg.horizon)
-    return HedgeReport(
-        gross_error=eps,
-        gross_error_pct=_percent(diff, target),
-        net_cost=cost,
-        net_cost_pct=cost_pct,
-        true_error=float(err),
-        true_error_pct=_percent(err, target),
-    )
+    err = _less_carried(cfg, eps, cost)
+    eps_pct, err_pct = _percentages(target, eps, err)
+    return HedgeReport(eps, eps_pct, cost, cost_pct, err, err_pct)

@@ -13,7 +13,8 @@ A run holds its draws only until the terminal spots exist, and
 result arrays, which the summary then overwrites in place.  Peak memory
 is therefore about 24 bytes per path (the draws and two temporaries of
 ``gbm_terminal``, then the spots, errors and prices while valuing), and
-the path count is capped at ``MAX_PATHS``.
+the path count is capped at ``MAX_PATHS``.  A summary out of the float
+range raises ``PricingError``, checked on its three values, not per path.
 """
 
 from __future__ import annotations
@@ -97,9 +98,9 @@ def run_hedge_sim(cfg: SimConfig, draws=None) -> SimSummary:
 
     ``draws`` overrides the seeded normal draws (length must equal
     ``cfg.paths``); it exists for degenerate-path tests and for sharing
-    one shock set across schemes, and is never written to.  A terminal
-    spot that is not positive and finite, or at which the hedged call is
-    worth 0, raises ``PricingError``.
+    one shock set across schemes, and is never written to.  Terminal
+    spots that ``hedge.true_errors`` rejects, and a summary out of the
+    float range, raise ``PricingError``.
     """
     if draws is None:
         z = normal_draws(cfg.seed, cfg.paths)
@@ -117,13 +118,13 @@ def run_hedge_sim(cfg: SimConfig, draws=None) -> SimSummary:
     del z  # free seeded draws before the valuation allocates its results
     errors, ratios = true_errors(cfg.hedge, weights, cfg.spot, terminal)
     del terminal
-    np.divide(errors, ratios, out=ratios)
-    mhe = np.mean(ratios)
-    mae = np.mean(np.abs(ratios, out=ratios))
-    rmse = np.sqrt(np.mean(np.square(errors, out=errors)))
-    return SimSummary(
-        mhe_pct=float(100.0 * mhe),
-        mae_pct=float(100.0 * mae),
-        rmse=float(rmse),
-        paths=cfg.paths,
-    )
+    with np.errstate(all="ignore"):  # a summary out of the float range raises below
+        np.divide(errors, ratios, out=ratios)
+        mhe = float(100.0 * np.mean(ratios))
+        mae = float(100.0 * np.mean(np.abs(ratios, out=ratios)))
+        rmse = float(np.sqrt(np.mean(np.square(errors, out=errors))))
+    if not all(map(math.isfinite, (mhe, mae, rmse))):
+        raise PricingError(
+            f"simulated hedge errors leave the float range (spot {cfg.spot:g})"
+        )
+    return SimSummary(mhe_pct=mhe, mae_pct=mae, rmse=rmse, paths=cfg.paths)

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .analytic import (
     ExerciseStyle,
@@ -199,7 +200,7 @@ def table3(steps: int = 365) -> TableData:
     )
 
 
-_HEDGE_SPOTS = tuple(float(s) for s in range(35, 90, 5))
+_HEDGE_SPOTS = np.arange(35.0, 90.0, 5.0)
 _TRUE_ERROR_SPOTS = (45.0, 50.0, 55.0)
 
 
@@ -207,33 +208,28 @@ def _scheme_key(scheme: HedgeScheme) -> str:
     return scheme.value.replace("-", "_")
 
 
-def _hedged_call(spot: float, tau: float) -> float:
+def _hedged_call(tau: float):
     cfg = DEFAULT_HEDGE
-    return float(
-        call_price(spot, cfg.target_strike, cfg.rate, cfg.dividend_yield, cfg.vol, tau)
+    return call_price(
+        _HEDGE_SPOTS, cfg.target_strike, cfg.rate, cfg.dividend_yield, cfg.vol, tau
     )
 
 
-def _hedge_table(name, title, lead, rows, suffix, values, scheme) -> TableData:
+def _hedge_table(name, title, lead, columns, suffix, values, scheme) -> TableData:
     """A t4-t6 table: lead columns, then a value and a percent per scheme.
 
-    ``lead`` holds the (header, format) of each lead column and ``rows``
-    the lead cells of each row; ``values(cells, weights)`` gives one
-    scheme's (value, percent) for a row.
+    ``lead`` holds the (header, format) of each lead column and ``columns``
+    lists its cells; ``values(weights)`` gives one scheme's (values,
+    percents) for every row in one call.
     """
     wanted = (HedgeScheme.BSM_DUAL, HedgeScheme.WU_ZHU) if scheme is None else (scheme,)
-    pairs = [(s, solve_weights(DEFAULT_HEDGE, s)) for s in wanted]
     headers = [header for header, _ in lead]
     formats = [fmt for _, fmt in lead]
-    for s, _ in pairs:
+    for s in wanted:
         headers += [f"{_scheme_key(s)}_{suffix}", f"{_scheme_key(s)}_{suffix}_pct"]
         formats += [".3f", ".2f"]
-    body = []
-    for cells in rows:
-        row = list(cells)
-        for _, w in pairs:
-            row += values(cells, w)
-        body.append(tuple(row))
+        columns += values(solve_weights(DEFAULT_HEDGE, s))
+    body = zip(*(column.tolist() for column in columns))
     return TableData(name, title, tuple(headers), tuple(formats), tuple(body))
 
 
@@ -244,12 +240,9 @@ def table4(scheme: HedgeScheme | None = None) -> TableData:
         "t4",
         "Gross hedge errors at the end of the hedge period",
         (("spot_at_horizon", "g"), ("hedged_call", ".3f")),
-        (
-            (spot, _hedged_call(spot, cfg.target_maturity - cfg.horizon))
-            for spot in _HEDGE_SPOTS
-        ),
+        [_HEDGE_SPOTS, _hedged_call(cfg.target_maturity - cfg.horizon)],
         "gross",
-        lambda cells, w: gross_error(cfg, w, cells[0]),
+        lambda w: gross_error(cfg, w, _HEDGE_SPOTS),
         scheme,
     )
 
@@ -261,25 +254,26 @@ def table5(scheme: HedgeScheme | None = None) -> TableData:
         "t5",
         "Net costs of the hedge at setup",
         (("spot_at_0", "g"), ("hedged_call", ".3f")),
-        ((spot, _hedged_call(spot, cfg.target_maturity)) for spot in _HEDGE_SPOTS),
+        [_HEDGE_SPOTS, _hedged_call(cfg.target_maturity)],
         "cost",
-        lambda cells, w: net_cost(cfg, w, cells[0]),
+        lambda w: net_cost(cfg, w, _HEDGE_SPOTS),
         scheme,
     )
 
 
 def table6(scheme: HedgeScheme | None = None) -> TableData:
     """True hedge errors for known start and horizon spots."""
+    starts, horizons = np.repeat(_TRUE_ERROR_SPOTS, 3), np.tile(_TRUE_ERROR_SPOTS, 3)
 
-    def true_pair(cells, w):
-        report = true_error(DEFAULT_HEDGE, w, *cells)
+    def true_pair(w):
+        report = true_error(DEFAULT_HEDGE, w, starts, horizons)
         return report.true_error, report.true_error_pct
 
     return _hedge_table(
         "t6",
         "True hedge errors with known start and horizon spots",
         (("spot_at_0", "g"), ("spot_at_horizon", "g")),
-        itertools.product(_TRUE_ERROR_SPOTS, _TRUE_ERROR_SPOTS),
+        [starts, horizons],
         "true",
         true_pair,
         scheme,

@@ -186,6 +186,58 @@ def test_price_prices_or_fails_cleanly(inputs):
         assert rc == 1 and err.getvalue().startswith("error:")
 
 
+HEDGE_FLAGS = {
+    # flag: range of valid values; the defaults keep the strikes and
+    # maturities ordered, so most drawn configs are valid
+    "K": (45.0, 55.0),
+    "T": (0.3, 1.0),
+    "Kd": (30.0, 45.0),
+    "Kc": (45.0, 55.0),
+    "Ku": (55.0, 90.0),
+    "To": (0.06, 0.1),
+    "Tc": (0.1, 0.25),
+    "Th": (0.01, 0.06),
+    "vol": (0.01, 2.0),
+    "rate": (-1000.0, 1000.0),
+    "yield": (-1000.0, 1000.0),
+    "spot0": (1.0, 200.0),
+    "spotTh": (1.0, 200.0),
+    "mu": (-1.0, 1.0),
+}
+
+
+@st.composite
+def hedge_argvs(draw):
+    flags = draw(st.sets(st.sampled_from(sorted(HEDGE_FLAGS))))
+    argv = [
+        f"{'-' if len(flag) == 1 else '--'}{flag}={draw(extreme_or(*HEDGE_FLAGS[flag]))}"
+        for flag in sorted(flags)
+    ]
+    argv.append(f"--scheme={draw(st.sampled_from(['bsm-dual', 'wu-zhu']))}")
+    if draw(st.booleans()):
+        argv += ["--sim", f"--paths={draw(st.integers(1, 50))}"]
+        if "spot0" not in flags:
+            argv.append(f"--spot0={draw(extreme_or(1.0, 200.0))}")
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(hedge_argvs())
+def test_hedge_prints_or_fails_cleanly(argv):
+    # finite output and exit 0, or "error: ..." and exit 1; any other
+    # exception, a RuntimeWarning included, propagates out of main
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["hedge", *argv])
+    assert not re.search(r"\b(nan|inf)\b", out.getvalue())
+    if rc == 0:
+        assert err.getvalue() == ""
+    else:
+        assert rc == 1 and err.getvalue().startswith("error:")
+
+
 def test_price_tiny_vol_greeks_are_finite(capsys):
     rc, out, err = run(
         [
@@ -317,6 +369,15 @@ def test_hedge_collapsed_strikes_fail(capsys):
         ["--spot0", "1e-300"],
         ["--sim", "--spot0", "1e-300", "--paths", "10"],
         ["--sim", "--spot0", "50", "--mu=-400", "--paths", "10"],
+        ["--rate=1e300", "--sim", "--spot0", "50", "--paths", "50", "--scheme", "wu-zhu"],
+        ["--rate=1e300", "--spot0", "50", "--spotTh", "50", "--scheme", "wu-zhu"],
+        ["--scheme", "wu-zhu", "--yield=-1e300", "--spot0", "45", "--Kd", "33", "--Kc", "48.7",
+         "--vol", "0.43"],
+        ["-r=-1e300", "--spot0", "50", "--Ku", "90"],
+        ["--sim", "--paths", "50", "--spot0=1e300"],
+        ["--Ku=1e300", "--vol=1e300", "--spot0", "50", "--scheme", "wu-zhu"],
+        ["--Ku=1e300", "--vol=1e300", "--spot0", "50", "--scheme", "wu-zhu", "--sim"],
+        ["--Th=0.03", "--rate=785", "--yield=541", "--spot0=1e300", "--spotTh=104"],
     ],
     ids=[
         "infinite-maturity",
@@ -336,6 +397,14 @@ def test_hedge_collapsed_strikes_fail(capsys):
         "worthless-call-at-setup",
         "sim-worthless-call",
         "sim-worthless-paths",
+        "sim-carry-overflow",
+        "carry-overflow",
+        "huge-negative-yield",
+        "huge-negative-rate",
+        "sim-summary-overflow",
+        "huge-vol",
+        "sim-huge-vol",
+        "percentage-overflow",
     ],
 )
 def test_hedge_non_finite_result_fails(argv, capsys):

@@ -1,10 +1,13 @@
 """Static-hedge weights and error accounting."""
 
+import dataclasses
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualpricer import (
     HedgeConfig,
@@ -21,6 +24,7 @@ from dualpricer import (
     true_error,
     true_errors,
 )
+from dualpricer.hedge import _coefficients
 from dualpricer.tables import DEFAULT_HEDGE
 
 # fixed setup: K=50 call maturing in 6 months hedged with a 40/50/60
@@ -50,6 +54,7 @@ def test_default_config_values():
         {"wing_maturity": 0.6},
         {"mid_maturity": 0.7},
         {"vol": 0.0},
+        {"vol": 1e300},
     ],
 )
 def test_config_rejects_bad_orderings(bad):
@@ -132,6 +137,56 @@ def test_weights_satisfy_matching_rows(scheme):
     assert value == pytest.approx(1.0, abs=1e-12)
     assert slope == pytest.approx(0.0, abs=1e-12)
     assert decay == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def hedge_configs(draw):
+    strike = draw(st.floats(10.0, 200.0))
+    maturity = draw(st.floats(0.05, 3.0))
+    wing = draw(st.floats(0.02, 0.9)) * maturity
+    mid = draw(st.floats(0.02, 0.9)) * maturity
+    low = strike * draw(st.floats(0.5, 0.98))
+    high = strike * draw(st.floats(1.02, 1.5))
+    return HedgeConfig(
+        target_strike=strike,
+        target_maturity=maturity,
+        strike_low=low,
+        strike_mid=draw(st.floats(low, high)),
+        strike_high=high,
+        wing_maturity=wing,
+        mid_maturity=mid,
+        horizon=draw(st.floats(0.01, 1.0)) * min(wing, mid),
+        vol=draw(st.floats(0.05, 1.0)),
+        rate=draw(st.floats(-0.1, 0.2)),
+        dividend_yield=draw(st.floats(-0.1, 0.2)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(hedge_configs(), st.sampled_from(HedgeScheme))
+def test_weight_system_residual_property(cfg, scheme):
+    # the wu-zhu rows: zero carry with the unwind at the wing expiry, which
+    # may come after the middle expiry, so no HedgeConfig can hold them
+    if scheme is HedgeScheme.WU_ZHU:
+        co = _coefficients(cfg, 0.0, 0.0, cfg.wing_maturity)
+    else:
+        co = dual_coefficients(cfg)
+    try:
+        w = solve_weights(cfg, scheme)
+    except SingularHedgeSystem:
+        return
+    weights = (w.w_low, w.w_mid, w.w_high)
+    hs = (co.h_low, co.h_mid, co.h_high)
+    alphas = (co.alpha_wing, co.alpha_mid, co.alpha_wing)
+    rows = (
+        [1.0 + co.gamma * h**2 for h in hs],
+        [(1.0 + co.beta * h) * h for h in hs],
+        [h**2 - a for h, a in zip(hs, alphas)],
+    )
+    scale = max(1.0, max(map(abs, weights)) * max(abs(a) for row in rows for a in row))
+    for row, rhs in zip(rows, (1.0, 0.0, 1.0)):
+        residual = sum(a * wt for a, wt in zip(row, weights)) - rhs
+        assert abs(residual) <= 1e-12 * scale
 
 
 def test_full_scheme_degenerates_to_zero_rate_scheme():
@@ -261,6 +316,28 @@ def test_true_errors_vectorized_matches_scalar():
         assert 100.0 * err / price == pytest.approx(
             report.true_error_pct, abs=1e-9
         )
+    # the point reports broadcast: t4-t6 value a whole column in one call
+    # and must print what one call per cell would, bit for bit
+    starts = np.linspace(20.0, 120.0, 41)
+    horizons = starts[::-1]
+
+    def bits(values):
+        return [np.float64(v).tobytes() for v in values]
+
+    for scheme in HedgeScheme:
+        w = solve_weights(cfg, scheme)
+        gross = gross_error(cfg, w, horizons)
+        cost = net_cost(cfg, w, starts)
+        report = true_error(cfg, w, starts, horizons.reshape(-1, 1))
+        for i, (start, horizon) in enumerate(zip(starts, horizons)):
+            assert bits(g[i] for g in gross) == bits(gross_error(cfg, w, float(horizon)))
+            assert bits(c[i] for c in cost) == bits(net_cost(cfg, w, float(start)))
+            for j, at_horizon in enumerate(horizons):
+                cell = true_error(cfg, w, float(start), float(at_horizon))
+                fields = (np.broadcast_to(r, (41, 41)) for r in dataclasses.astuple(report))
+                assert bits(r[j, i] for r in fields) == bits(
+                    dataclasses.astuple(cell)
+                )
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
