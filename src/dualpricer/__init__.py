@@ -60,6 +60,13 @@ from .lattice import (
     lattice_price,
     lattice_valuation,
 )
-from .simulate import SimConfig, SimSummary, gbm_terminal, normal_draws, run_hedge_sim
+from .simulate import (
+    SimConfig,
+    SimSummary,
+    gbm_terminal,
+    normal_draws,
+    run_hedge_sim,
+    run_hedge_sims,
+)
 
 __version__ = "0.1.0"

@@ -217,17 +217,12 @@ def cmd_hedge(args) -> int:
         _pick(values, "scheme", args.scheme, "bsm-dual", cast=HedgeScheme)
     )
     weights = solve_weights(cfg, scheme)
-    print(f"scheme: {scheme.value}")
-    print(
-        f"weights: low {weights.w_low:.4f}  mid {weights.w_mid:.4f}  "
-        f"high {weights.w_high:.4f}"
-    )
-    print(f"determinant: {weights.determinant:.6f}")
-
     spot0 = _pick(values, "spot0", args.spot0, None)
     spot_th = _pick(values, "spotTh", args.spot_th, None)
     want_sim = args.sim or values.get("sim", "").lower() in ("1", "true", "yes")
 
+    # every number is computed before the first line is printed, so a
+    # failing hedge prints nothing to stdout
     if want_sim:
         if spot0 is None:
             print("error: --sim needs --spot0 (or spot0 in the config)", file=sys.stderr)
@@ -242,33 +237,36 @@ def cmd_hedge(args) -> int:
             scheme=scheme,
         )
         summary = run_hedge_sim(sim_cfg)
-        print(
-            f"simulated paths: {summary.paths} "
-            f"(seed {seed}, drift {sim_cfg.drift:g})"
-        )
-        print(
+        lines = [
+            f"simulated paths: {summary.paths} (seed {seed}, drift {sim_cfg.drift:g})",
             f"MHE: {summary.mhe_pct:.2f}%  MAE: {summary.mae_pct:.2f}%  "
-            f"RMSE: {summary.rmse:.3f}"
-        )
-        return 0
-
-    if spot0 is not None and spot_th is not None:
+            f"RMSE: {summary.rmse:.3f}",
+        ]
+    elif spot0 is not None and spot_th is not None:
         report = true_error(cfg, weights, spot0, spot_th)
-        print(
+        lines = [
             f"gross error at horizon (spot {spot_th:g}): "
-            f"{report.gross_error:.3f} ({report.gross_error_pct:.2f}%)"
-        )
-        print(
+            f"{report.gross_error:.3f} ({report.gross_error_pct:.2f}%)",
             f"net cost at setup (spot {spot0:g}): "
-            f"{report.net_cost:.3f} ({report.net_cost_pct:.2f}%)"
-        )
-        print(f"true error: {report.true_error:.3f} ({report.true_error_pct:.2f}%)")
+            f"{report.net_cost:.3f} ({report.net_cost_pct:.2f}%)",
+            f"true error: {report.true_error:.3f} ({report.true_error_pct:.2f}%)",
+        ]
     elif spot_th is not None:
         eps, pct = gross_error(cfg, weights, spot_th)
-        print(f"gross error at horizon (spot {spot_th:g}): {eps:.3f} ({pct:.2f}%)")
+        lines = [f"gross error at horizon (spot {spot_th:g}): {eps:.3f} ({pct:.2f}%)"]
     elif spot0 is not None:
         cost, pct = net_cost(cfg, weights, spot0)
-        print(f"net cost at setup (spot {spot0:g}): {cost:.3f} ({pct:.2f}%)")
+        lines = [f"net cost at setup (spot {spot0:g}): {cost:.3f} ({pct:.2f}%)"]
+    else:
+        lines = []
+    print(f"scheme: {scheme.value}")
+    print(
+        f"weights: low {weights.w_low:.4f}  mid {weights.w_mid:.4f}  "
+        f"high {weights.w_high:.4f}"
+    )
+    print(f"determinant: {weights.determinant:.6f}")
+    for line in lines:
+        print(line)
     return 0
 
 

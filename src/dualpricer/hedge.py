@@ -42,8 +42,6 @@ __all__ = [
 ]
 
 
-# Horizon spots valued per pass of ``true_errors``: 128 KiB per float64 array.
-_BLOCK = 1 << 14
 # Largest exponent whose math.exp is a float.
 _LOG_MAX = math.log(sys.float_info.max)
 
@@ -228,14 +226,18 @@ def _overflow(hs) -> PricingError:
     )
 
 
-def _valued(cfg: HedgeConfig, w: HedgeWeights, spots, at_horizon: bool):
-    """Portfolio minus target, and the target, at spots of any shape.
+def _valued(cfg: HedgeConfig, weight_sets, spots, at_horizon: bool):
+    """Portfolio minus target for each weight set, and the target, at spots
+    of any shape.
 
-    The spots are at the horizon, which must come strictly before the
-    nearest hedging expiry, or at setup.  Raises ``PricingError`` unless
-    every spot is positive and finite (one min and one max when all are),
-    every value is finite, and the hedged call is worth > 0 at every spot:
-    its price is the denominator of every error percentage.
+    The three hedging calls and the target are valued once for all weight
+    sets, and each set's difference is formed in the same operations, in
+    the same order, as for that set alone.  The spots are at the horizon,
+    which must come strictly before the nearest hedging expiry, or at
+    setup.  Raises ``PricingError`` unless every spot is positive and
+    finite (one min and one max when all are), every value is finite, and
+    the hedged call is worth > 0 at every spot: its price is the
+    denominator of every error percentage.
     """
     if at_horizon:
         if cfg.horizon >= min(cfg.wing_maturity, cfg.mid_maturity):
@@ -253,15 +255,16 @@ def _valued(cfg: HedgeConfig, w: HedgeWeights, spots, at_horizon: bool):
     args = (cfg.rate, cfg.dividend_yield, cfg.vol)
     wing, mid = cfg.wing_maturity - now, cfg.mid_maturity - now
     with np.errstate(all="ignore"):  # values out of the float range raise below
-        diff = (
-            w.w_low * call_price(spots, cfg.strike_low, *args, wing)
-            + w.w_mid * call_price(spots, cfg.strike_mid, *args, mid)
-            + w.w_high * call_price(spots, cfg.strike_high, *args, wing)
-        )
+        low = call_price(spots, cfg.strike_low, *args, wing)
+        middle = call_price(spots, cfg.strike_mid, *args, mid)
+        high = call_price(spots, cfg.strike_high, *args, wing)
         target = call_price(spots, cfg.target_strike, *args, cfg.target_maturity - now)
-        diff = diff - target
+        diffs = [
+            w.w_low * low + w.w_mid * middle + w.w_high * high - target
+            for w in weight_sets
+        ]
     # a target out of the float range makes its difference so too
-    if not (-math.inf < np.min(diff) and np.max(diff) < math.inf):
+    if not all(-math.inf < np.min(d) and np.max(d) < math.inf for d in diffs):
         raise PricingError(
             f"hedge values at {when} leave the float range: vol {cfg.vol:g}, "
             f"rate {cfg.rate:g}, yield {cfg.dividend_yield:g}"
@@ -271,7 +274,7 @@ def _valued(cfg: HedgeConfig, w: HedgeWeights, spots, at_horizon: bool):
         raise PricingError(
             f"hedged call is worth {worth:.3g}: no percentage of its price"
         )
-    return diff, target
+    return diffs, target
 
 
 def _less_carried(cfg: HedgeConfig, eps, cost):
@@ -314,7 +317,7 @@ def gross_error(cfg: HedgeConfig, w: HedgeWeights, spot_at_horizon):
     Broadcasts over the spots like ``call_price``; see ``_valued`` for the
     spots and values that raise ``PricingError``.
     """
-    diff, target = _valued(cfg, w, spot_at_horizon, True)
+    (diff,), target = _valued(cfg, (w,), spot_at_horizon, True)
     return (diff, *_percentages(target, diff))
 
 
@@ -324,37 +327,23 @@ def net_cost(cfg: HedgeConfig, w: HedgeWeights, spot_at_start):
     Broadcasts over the spots like ``call_price``; see ``_valued`` for the
     spots and values that raise ``PricingError``.
     """
-    diff, target = _valued(cfg, w, spot_at_start, False)
+    (diff,), target = _valued(cfg, (w,), spot_at_start, False)
     return (diff, *_percentages(target, diff))
 
 
-def true_errors(
-    cfg: HedgeConfig, w: HedgeWeights, spot_at_start: float, spots_at_horizon
-):
-    """Vectorized true error over many horizon spots.
+def true_errors(cfg: HedgeConfig, weight_sets, costs, spots_at_horizon):
+    """True errors of several weight sets at the same horizon spots.
 
-    Returns (errors, hedged-call prices at the horizon), both shaped like
-    the spots; the latter is the percentage denominator.  The setup cost is
-    valued once, by ``net_cost``, and compounded to the horizon at the
-    risk-free rate before subtraction.  Every block is checked as in
-    ``_valued``, and errors out of the float range raise ``PricingError``
-    too.
-
-    Spots are valued in blocks of ``_BLOCK``, whose 128 KiB temporaries
-    stay in a core's L2 cache, and each block is written into the two
-    result arrays.  Beyond its input the call therefore holds 16 bytes per
-    spot plus about 1 MB of block temporaries, and each error is the same
-    float as in a valuation of all spots at once.
+    ``costs`` holds each set's net cost at setup, as ``net_cost`` gives
+    it; each is compounded to the horizon at the risk-free rate and
+    subtracted from that set's gross error.  Returns (one error array per
+    set, hedged-call prices at the horizon), all shaped like the spots;
+    the prices are the percentage denominator.  The spots are valued once
+    for all sets, through ``_valued``, and raise ``PricingError`` as
+    there; errors out of the float range raise too.
     """
-    spots = np.asarray(spots_at_horizon, dtype=float)
-    cost, _ = net_cost(cfg, w, spot_at_start)
-    flat = spots.reshape(-1)
-    errors, target = np.empty(flat.size), np.empty(flat.size)
-    for start in range(0, flat.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        eps, target[block] = _valued(cfg, w, flat[block], True)
-        errors[block] = _less_carried(cfg, eps, cost)
-    return errors.reshape(spots.shape), target.reshape(spots.shape)
+    diffs, target = _valued(cfg, weight_sets, spots_at_horizon, True)
+    return [_less_carried(cfg, d, c) for d, c in zip(diffs, costs)], target
 
 
 def true_error(
@@ -369,7 +358,7 @@ def true_error(
     error percentages.  Raises ``PricingError`` as ``gross_error``,
     ``net_cost`` and ``true_errors`` do.
     """
-    eps, target = _valued(cfg, w, spot_at_Th, True)
+    (eps,), target = _valued(cfg, (w,), spot_at_Th, True)
     cost, cost_pct = net_cost(cfg, w, spot_at_0)
     err = _less_carried(cfg, eps, cost)
     eps_pct, err_pct = _percentages(target, eps, err)

@@ -8,17 +8,19 @@ Draws come from a counter-based generator (Philox) through the inverse
 normal CDF, so a seed pins the full stream independently of platform and
 path count ordering.
 
-A run holds its draws only until the terminal spots exist, and
-``hedge.true_errors`` values those spots in cache-sized blocks into two
-result arrays, which the summary then overwrites in place.  Peak memory
-is therefore about 24 bytes per path (the draws and two temporaries of
-``gbm_terminal``, then the spots, errors and prices while valuing), and
-the path count is capped at ``MAX_PATHS``.  A summary out of the float
-range raises ``PricingError``, checked on its three values, not per path.
+A run walks numpy's pairwise-summation tree over its paths (see
+``_tree_sums``) and, at each leaf of at most ``_BLOCK`` paths in turn,
+draws, moves, values and sums that leaf alone; the leaf sums are added
+back up the tree in numpy's order.  The summaries are therefore the bits
+``np.mean`` gives over full-length arrays, while peak memory stays
+bounded by one leaf whatever the path count.  Runs are capped at
+``MAX_PATHS`` paths.  A summary out of the float range raises
+``PricingError``, checked on its three values, not per path.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -26,7 +28,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import PricingError
-from .hedge import HedgeConfig, HedgeScheme, solve_weights, true_errors
+from .hedge import HedgeConfig, HedgeScheme, net_cost, solve_weights, true_errors
 
 __all__ = [
     "MAX_PATHS",
@@ -35,10 +37,14 @@ __all__ = [
     "gbm_terminal",
     "normal_draws",
     "run_hedge_sim",
+    "run_hedge_sims",
 ]
 
-# Ten times the largest run in the repo; about 240 MB of arrays at the peak.
+# Ten times the largest run in the repo; it bounds a run's time, not its memory.
 MAX_PATHS = 10_000_000
+# Most paths in one leaf of a run: 128 KiB per float64 array, so a leaf's
+# temporaries stay in a core's L2 cache.
+_BLOCK = 1 << 14
 
 
 def _require_paths(paths: int):
@@ -78,19 +84,51 @@ def gbm_terminal(spot, drift, vol, horizon, z):
     return spot * np.exp((drift - 0.5 * vol**2) * horizon + vol * np.sqrt(horizon) * z)
 
 
-def normal_draws(seed: int, count: int) -> np.ndarray:
-    """Deterministic standard-normal draws for a given seed.
-
-    Uniforms are taken as k / 2^53 with k in [1, 2^53), which keeps the
-    inverse CDF finite on both tails.  The seed must be non-negative and
-    the count in [1, ``MAX_PATHS``].
-    """
-    _require_paths(count)
+def _philox(seed: int) -> np.random.Generator:
     if seed < 0:
         raise PricingError(f"seed must be non-negative, got {seed}")
-    rng = np.random.Generator(np.random.Philox(seed))
+    return np.random.Generator(np.random.Philox(seed))
+
+
+def normal_draws(source, count: int) -> np.ndarray:
+    """Deterministic standard-normal draws from a seed or a generator.
+
+    ``source`` is a non-negative seed, which starts a Philox stream, or a
+    ``np.random.Generator`` that one started, which carries on: draws
+    taken in pieces from one generator are the bits of one call for their
+    total count.  Uniforms are taken as k / 2^53 with k in [1, 2^53), which
+    keeps the inverse CDF finite on both tails.  The count must be in
+    [1, ``MAX_PATHS``].
+    """
+    _require_paths(count)
+    rng = source if isinstance(source, np.random.Generator) else _philox(source)
     uniforms = rng.integers(1, 1 << 53, size=count) / float(1 << 53)
     return ndtri(uniforms)
+
+
+def _tree_sums(leaf_sums, count: int) -> list:
+    """Sums over the indices [0, count), added in ``np.add.reduce``'s order.
+
+    numpy sums a contiguous float64 array pairwise: a stretch longer than
+    128 splits at ``half - half % 8`` (``half = n // 2``) and adds the sum
+    of its left part to that of its right (Higham, SIAM J. Sci. Comput.
+    1993), and the reduction adds its result to the identity 0.0.  This
+    walks the same tree down to leaves of at most ``_BLOCK`` indices, in
+    index order, calls ``leaf_sums(start, count)`` once per leaf for a list
+    of sums each taken with ``np.add.reduce``, and adds those lists back up
+    the tree.  Each sum therefore has the bits ``np.add.reduce`` gives over
+    the whole index range, and only one leaf is ever alive.
+    """
+
+    def tree(start, count):
+        if count <= _BLOCK:
+            return leaf_sums(start, count)
+        half = count // 2
+        half -= half % 8
+        left = tree(start, half)
+        return [a + b for a, b in zip(left, tree(start + half, count - half))]
+
+    return [0.0 + total for total in tree(0, count)]
 
 
 def run_hedge_sim(cfg: SimConfig, draws=None) -> SimSummary:
@@ -98,33 +136,74 @@ def run_hedge_sim(cfg: SimConfig, draws=None) -> SimSummary:
 
     ``draws`` overrides the seeded normal draws (length must equal
     ``cfg.paths``); it exists for degenerate-path tests and for sharing
-    one shock set across schemes, and is never written to.  Terminal
-    spots that ``hedge.true_errors`` rejects, and a summary out of the
-    float range, raise ``PricingError``.
+    one shock set across runs, and is never written to.  Terminal spots
+    that ``hedge.true_errors`` rejects, and a summary out of the float
+    range, raise ``PricingError``.
     """
+    (summary,) = _run((cfg,), draws)
+    return summary
+
+
+def run_hedge_sims(cfgs, draws=None) -> tuple:
+    """``run_hedge_sim`` for runs that differ only in their scheme.
+
+    The runs share their draws, terminal spots and horizon valuation; each
+    summary has the bits of its own ``run_hedge_sim``.  Raises
+    ``ValueError`` when the configurations differ in anything else.
+    """
+    return _run(tuple(cfgs), draws)
+
+
+def _run(cfgs, draws) -> tuple:
+    """The leaf loop behind ``run_hedge_sim`` and ``run_hedge_sims``.
+
+    Each leaf draws its normals from the run's one Philox stream, or
+    slices them from ``draws``, moves the spots with ``gbm_terminal`` and
+    values them once for every scheme with ``true_errors``, against setup
+    costs valued once per run.  It sums the ratios of error to hedged-call
+    price, their absolute values and the squared errors; the summaries are
+    those sums, added up the tree by ``_tree_sums``, over the path count.
+    It is private so that a traced run charges the loop's own time to
+    whichever public entry was called.
+    """
+    cfg = cfgs[0]
+    if any(dataclasses.replace(c, scheme=cfg.scheme) != cfg for c in cfgs):
+        raise ValueError("runs that share paths may differ only in scheme")
+    hedge = cfg.hedge
     if draws is None:
-        z = normal_draws(cfg.seed, cfg.paths)
+        rng = _philox(cfg.seed)
     else:
         z = np.asarray(draws, dtype=float)
         if z.shape != (cfg.paths,):
             raise PricingError(
                 f"draws must have shape ({cfg.paths},), got {z.shape}"
             )
-    weights = solve_weights(cfg.hedge, cfg.scheme)
-    with np.errstate(over="ignore"):  # true_errors rejects the inf spots
-        terminal = gbm_terminal(
-            cfg.spot, cfg.drift, cfg.hedge.vol, cfg.hedge.horizon, z
-        )
-    del z  # free seeded draws before the valuation allocates its results
-    errors, ratios = true_errors(cfg.hedge, weights, cfg.spot, terminal)
-    del terminal
-    with np.errstate(all="ignore"):  # a summary out of the float range raises below
-        np.divide(errors, ratios, out=ratios)
-        mhe = float(100.0 * np.mean(ratios))
-        mae = float(100.0 * np.mean(np.abs(ratios, out=ratios)))
-        rmse = float(np.sqrt(np.mean(np.square(errors, out=errors))))
-    if not all(map(math.isfinite, (mhe, mae, rmse))):
-        raise PricingError(
-            f"simulated hedge errors leave the float range (spot {cfg.spot:g})"
-        )
-    return SimSummary(mhe_pct=mhe, mae_pct=mae, rmse=rmse, paths=cfg.paths)
+    weight_sets = [solve_weights(hedge, c.scheme) for c in cfgs]
+    costs = [net_cost(hedge, w, cfg.spot)[0] for w in weight_sets]
+
+    def leaf_sums(start, count):
+        leaf = normal_draws(rng, count) if draws is None else z[start : start + count]
+        with np.errstate(over="ignore"):  # true_errors rejects the inf spots
+            spots = gbm_terminal(cfg.spot, cfg.drift, hedge.vol, hedge.horizon, leaf)
+        errors, target = true_errors(hedge, weight_sets, costs, spots)
+        sums = []
+        with np.errstate(all="ignore"):  # a summary out of the float range raises below
+            for err in errors:
+                ratios = np.divide(err, target)
+                sums += [
+                    float(np.add.reduce(ratios)),
+                    float(np.add.reduce(np.abs(ratios, out=ratios))),
+                    float(np.add.reduce(np.square(err, out=err))),
+                ]
+        return sums
+
+    means = [total / cfg.paths for total in _tree_sums(leaf_sums, cfg.paths)]
+    summaries = []
+    for k in range(0, len(means), 3):
+        mhe, mae, rmse = 100.0 * means[k], 100.0 * means[k + 1], math.sqrt(means[k + 2])
+        if not all(map(math.isfinite, (mhe, mae, rmse))):
+            raise PricingError(
+                f"simulated hedge errors leave the float range (spot {cfg.spot:g})"
+            )
+        summaries.append(SimSummary(mhe_pct=mhe, mae_pct=mae, rmse=rmse, paths=cfg.paths))
+    return tuple(summaries)

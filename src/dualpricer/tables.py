@@ -39,7 +39,7 @@ from .hedge import (
     true_error,
 )
 from .lattice import lattice_price
-from .simulate import SimConfig, normal_draws, run_hedge_sim
+from .simulate import SimConfig, normal_draws, run_hedge_sims
 
 __all__ = [
     "TableData",
@@ -281,20 +281,20 @@ def table6(scheme: HedgeScheme | None = None) -> TableData:
 
 
 def table7(seed: int = 42, paths: int = 10_000) -> TableData:
-    """Simulated true hedge errors; both schemes see the same draws."""
+    """Simulated true hedge errors; both schemes see the same valued paths."""
     draws = normal_draws(seed, paths)
+    schemes = (HedgeScheme.BSM_DUAL, HedgeScheme.WU_ZHU)
     headers = ["drift", "spot_0"]
     formats = ["g", "g"]
-    for s in (HedgeScheme.BSM_DUAL, HedgeScheme.WU_ZHU):
+    for s in schemes:
         key = _scheme_key(s)
         headers += [f"{key}_mhe_pct", f"{key}_mae_pct", f"{key}_rmse"]
         formats += [".2f", ".2f", ".3f"]
     rows = []
     for drift in (0.04, 0.08):
         for spot in (46.0, 48.0, 50.0, 52.0, 54.0):
-            row = [drift, spot]
-            for s in (HedgeScheme.BSM_DUAL, HedgeScheme.WU_ZHU):
-                cfg = SimConfig(
+            cfgs = [
+                SimConfig(
                     spot=spot,
                     drift=drift,
                     paths=paths,
@@ -302,7 +302,10 @@ def table7(seed: int = 42, paths: int = 10_000) -> TableData:
                     hedge=DEFAULT_HEDGE,
                     scheme=s,
                 )
-                summary = run_hedge_sim(cfg, draws=draws)
+                for s in schemes
+            ]
+            row = [drift, spot]
+            for summary in run_hedge_sims(cfgs, draws=draws):
                 row += [summary.mhe_pct, summary.mae_pct, summary.rmse]
             rows.append(tuple(row))
     return TableData(

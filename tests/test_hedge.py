@@ -68,8 +68,9 @@ def test_horizon_may_touch_wing_expiry_for_solving_only():
     assert math.isfinite(weights.w_mid)
     with pytest.raises(HedgeConstraintError):
         gross_error(cfg, weights, 50.0)
+    cost, _ = net_cost(cfg, weights, 50.0)
     with pytest.raises(HedgeConstraintError):
-        true_errors(cfg, weights, 50.0, np.array([50.0]))
+        true_errors(cfg, [weights], [cost], np.array([50.0]))
 
 
 def test_coefficients_frozen_values():
@@ -308,7 +309,8 @@ def test_true_errors_vectorized_matches_scalar():
     cfg = DEFAULT_HEDGE
     w = solve_weights(cfg, HedgeScheme.BSM_DUAL)
     spots = np.array([45.0, 50.0, 55.0])
-    errors, hedged = true_errors(cfg, w, 50.0, spots)
+    cost, _ = net_cost(cfg, w, 50.0)
+    (errors,), hedged = true_errors(cfg, [w], [cost], spots)
     assert errors.shape == hedged.shape == spots.shape
     for err, price, spot in zip(errors, hedged, spots):
         report = true_error(cfg, w, 50.0, float(spot))
@@ -343,8 +345,9 @@ def test_true_errors_vectorized_matches_scalar():
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
 def test_true_errors_rejects_bad_horizon_spots(bad):
     w = solve_weights(DEFAULT_HEDGE, HedgeScheme.BSM_DUAL)
+    cost, _ = net_cost(DEFAULT_HEDGE, w, 50.0)
     with pytest.raises(PricingError, match="spot at the horizon"):
-        true_errors(DEFAULT_HEDGE, w, 50.0, np.array([50.0, bad, 45.0]))
+        true_errors(DEFAULT_HEDGE, [w], [cost], np.array([50.0, bad, 45.0]))
 
 
 def test_empty_portfolio_loses_the_target():

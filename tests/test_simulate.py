@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,12 +21,12 @@ from dualpricer import (
     net_cost,
     normal_draws,
     run_hedge_sim,
+    run_hedge_sims,
     simulate,
     solve_weights,
     true_error,
 )
-from dualpricer.hedge import _BLOCK
-from dualpricer.simulate import MAX_PATHS
+from dualpricer.simulate import _BLOCK, MAX_PATHS, _tree_sums
 from dualpricer.tables import DEFAULT_HEDGE
 
 HORIZON = DEFAULT_HEDGE.horizon
@@ -227,13 +228,103 @@ def test_blocked_run_matches_unblocked_reference(run):
 
 def test_true_errors_matches_reference_for_any_shape():
     w = solve_weights(DEFAULT_HEDGE, HedgeScheme.BSM_DUAL)
+    cost, _ = net_cost(DEFAULT_HEDGE, w, 50.0)
     spots = gbm_terminal(50.0, 0.04, 0.2, HORIZON, normal_draws(9, 3 * _BLOCK))
     for shaped in (spots, spots[1:], spots.reshape(3, _BLOCK), spots[::2]):
-        got = hedge.true_errors(DEFAULT_HEDGE, w, 50.0, shaped)
+        (errors,), target = hedge.true_errors(DEFAULT_HEDGE, [w], [cost], shaped)
         want = reference_true_errors(DEFAULT_HEDGE, w, 50.0, shaped)
-        for g, r in zip(got, want):
+        for g, r in zip((errors, target), want):
             assert g.shape == shaped.shape
             assert g.tobytes() == r.tobytes()
+
+
+def test_true_errors_values_several_weight_sets_as_each_alone():
+    spots = gbm_terminal(50.0, 0.04, 0.2, HORIZON, normal_draws(13, 999))
+    weight_sets = [solve_weights(DEFAULT_HEDGE, s) for s in HedgeScheme]
+    costs = [net_cost(DEFAULT_HEDGE, w, 48.0)[0] for w in weight_sets]
+    errors, target = hedge.true_errors(DEFAULT_HEDGE, weight_sets, costs, spots)
+    assert len(errors) == len(weight_sets)
+    for err, w in zip(errors, weight_sets):
+        want = reference_true_errors(DEFAULT_HEDGE, w, 48.0, spots)
+        assert err.tobytes() == want[0].tobytes()
+        assert target.tobytes() == want[1].tobytes()
+
+
+EXACT_PATHS = (1, 7, 8, 129, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7, 100_003)
+
+
+@pytest.mark.parametrize("with_draws", [False, True], ids=["seeded", "passed"])
+@pytest.mark.parametrize("scheme", list(HedgeScheme), ids=lambda s: s.value)
+@pytest.mark.parametrize("paths", EXACT_PATHS)
+def test_streamed_run_is_bit_identical_to_full_arrays(paths, scheme, with_draws):
+    cfg = sim(spot=49.0, paths=paths, seed=paths, scheme=scheme)
+    draws = normal_draws(paths + 1, paths) if with_draws else None
+    assert bits(run_hedge_sim(cfg, draws)) == bits(reference_run_hedge_sim(cfg, draws))
+
+
+def test_million_path_run_is_bit_identical_to_full_arrays():
+    cfg = sim(paths=1_000_000, seed=2019)
+    assert bits(run_hedge_sim(cfg)) == bits(reference_run_hedge_sim(cfg))
+
+
+def test_draws_taken_in_pieces_are_one_stream():
+    count = 3 * _BLOCK + 7
+    rng = np.random.Generator(np.random.Philox(42))
+    pieces = [normal_draws(rng, n) for n in (_BLOCK, 5, _BLOCK + 2, _BLOCK)]
+    assert np.concatenate(pieces).tobytes() == normal_draws(42, count).tobytes()
+
+
+def mixed_values(count, seed):
+    """Magnitudes from 1e-3 to 1e3 with mixed signs, so the order of the adds shows."""
+    rng = np.random.default_rng(seed)
+    magnitudes = 10.0 ** rng.uniform(-3.0, 3.0, count)
+    return np.where(rng.random(count) < 0.5, -magnitudes, magnitudes)
+
+
+def tree_sum(values):
+    def leaf_sums(start, count):
+        assert count <= _BLOCK
+        return [float(np.add.reduce(values[start : start + count]))]
+
+    (total,) = _tree_sums(leaf_sums, values.size)
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5 * _BLOCK + 7), st.integers(0, 2**32 - 1))
+@example(1_000_000, 2019)
+def test_leaf_tree_sum_is_numpys_sum(count, seed):
+    # the summaries' bits rest on this: if numpy changes its reduction
+    # order, this fails by name instead of the summaries drifting
+    values = mixed_values(count, seed)
+    assert struct.pack("<d", tree_sum(values)) == struct.pack(
+        "<d", float(np.add.reduce(values))
+    )
+
+
+def run_peak_bytes(paths):
+    tracemalloc.start()
+    try:
+        run_hedge_sim(sim(paths=paths))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_memory_is_bounded_by_one_leaf():
+    small, large = run_peak_bytes(200_000), run_peak_bytes(800_000)
+    assert large < 2 * 2**20
+    assert large <= 1.1 * small
+
+
+def test_runs_sharing_paths_match_their_single_runs():
+    draws = normal_draws(21, 2 * _BLOCK + 3)
+    cfgs = [sim(paths=draws.size, scheme=s) for s in HedgeScheme]
+    for passed in (None, draws):
+        shared = run_hedge_sims(cfgs, draws=passed)
+        assert [bits(s) for s in shared] == [bits(run_hedge_sim(c, passed)) for c in cfgs]
+    with pytest.raises(ValueError, match="only in scheme"):
+        run_hedge_sims([cfgs[0], dataclasses.replace(cfgs[1], drift=0.05)])
 
 
 def counting(monkeypatch, module, name, calls):
@@ -250,20 +341,29 @@ def counting(monkeypatch, module, name, calls):
 def test_one_draw_one_solve_one_setup_cost_per_run(with_draws, monkeypatch):
     paths = 2 * _BLOCK + 7
     draws = normal_draws(5, paths) if with_draws else None
-    calls = dict.fromkeys(("normal_draws", "solve_weights", "net_cost", "call_price"), 0)
-    elements = []
-    counting(monkeypatch, simulate, "normal_draws", calls)
+    calls = dict.fromkeys(("solve_weights", "net_cost", "call_price"), 0)
+    drawn, elements = [], []
     counting(monkeypatch, simulate, "solve_weights", calls)
+    # the setup cost is valued in simulate; count a call from hedge as well
+    counting(monkeypatch, simulate, "net_cost", calls)
     counting(monkeypatch, hedge, "net_cost", calls)
+    original_draws = simulate.normal_draws
     original_call_price = hedge.call_price
+
+    def sized_draws(source, count):
+        drawn.append(count)
+        return original_draws(source, count)
 
     def sized_call_price(spot, *args):
         elements.append(np.size(spot))
         return original_call_price(spot, *args)
 
+    monkeypatch.setattr(simulate, "normal_draws", sized_draws)
     monkeypatch.setattr(hedge, "call_price", sized_call_price)
     run_hedge_sim(sim(paths=paths), draws=draws)
-    assert calls["normal_draws"] == (0 if with_draws else 1)
+    # one stream drawn leaf by leaf: every path once, no leaf over _BLOCK
+    assert sum(drawn) == (0 if with_draws else paths)
+    assert all(count <= _BLOCK for count in drawn)
     assert calls["solve_weights"] == 1
     assert calls["net_cost"] == 1
     # three hedging calls and the target, per path and once at setup

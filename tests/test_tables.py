@@ -3,6 +3,7 @@
 import csv
 import io
 
+import numpy as np
 import pytest
 
 from dualpricer import (
@@ -14,6 +15,7 @@ from dualpricer import (
     OptionSpec,
     delta_via_dual,
     gross_error,
+    hedge,
     lattice_delta,
     lattice_price,
     net_cost,
@@ -139,6 +141,26 @@ def test_table7_shares_draws_between_schemes():
         assert row[offset] == pytest.approx(summary.mhe_pct, rel=1e-12)
         assert row[offset + 1] == pytest.approx(summary.mae_pct, rel=1e-12)
         assert row[offset + 2] == pytest.approx(summary.rmse, rel=1e-12)
+
+
+def test_table7_values_each_row_horizon_once_for_both_schemes(monkeypatch):
+    elements = []
+    original_call_price = hedge.call_price
+
+    def sized_call_price(spot, *args):
+        elements.append(np.size(spot))
+        return original_call_price(spot, *args)
+
+    monkeypatch.setattr(hedge, "call_price", sized_call_price)
+    paths = 300
+    table = TABLE_BUILDERS["t7"](seed=7, paths=paths)
+    horizon = [n for n in elements if n == paths]
+    setup = [n for n in elements if n == 1]
+    # per row: three hedging calls and the target on every path, shared
+    # by both schemes, and one setup valuation per scheme
+    assert sum(horizon) == 4 * paths * len(table.rows)
+    assert len(setup) == 4 * 2 * len(table.rows)
+    assert len(horizon) + len(setup) == len(elements)
 
 
 def test_render_text_layout():
