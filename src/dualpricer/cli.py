@@ -6,12 +6,19 @@ pricing side by side), ``table`` for the canned t1-t7 reports, and
 success, 1 on numerical or domain failures, 2 on usage errors.
 
 The ``DUALPRICER_SEED`` environment variable supplies the default seed
-wherever one is accepted.
+wherever one is accepted; it is read on every call.
+
+``main`` builds its parser once per process and reuses it, so in-process
+callers pay for argument parsing, not for building the parser.  Commands
+are looked up by name on every call, never held by the parser, so a
+rebinding of ``cmd_price``, ``cmd_table`` or ``cmd_hedge`` (a tracer's
+wrapper, a test's monkeypatch) is honoured.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -72,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--dual", action="store_true", help="also price the swapped problem")
     p.add_argument("--greeks", action="store_true", help="also print delta and gamma")
-    p.set_defaults(func=cmd_price)
 
     t = sub.add_parser("table", help="emit one of the canned reports t1..t7")
     t.add_argument("name", choices=sorted(tables.TABLE_BUILDERS))
@@ -87,7 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     t.add_argument("--seed", type=int, help="simulation seed (t7)")
     t.add_argument("--paths", type=int, default=10_000, help="simulated paths (t7)")
-    t.set_defaults(func=cmd_table)
 
     h = sub.add_parser("hedge", help="solve hedge weights and report errors")
     h.add_argument("-K", "--target-strike", dest="target_strike", type=float)
@@ -109,9 +114,13 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--mu", type=float, help="physical drift for --sim")
     h.add_argument("--seed", type=int)
     h.add_argument("--config", help="experiment file supplying defaults")
-    h.set_defaults(func=cmd_hedge)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
 
 
 def cmd_price(args) -> int:
@@ -131,25 +140,29 @@ def cmd_price(args) -> int:
     else:
         engine = AnalyticEngine()
 
+    # every number is computed before the first line is printed, so a
+    # failing dual leg prints nothing to stdout
     if args.greeks:
         direct, delta, gamma = engine.valuation(spec, mkt)
     else:
         direct = engine.price(spec, mkt)
-    print(f"direct price: {direct:.3f}")
+    lines = [f"direct price: {direct:.3f}"]
     if args.greeks:
-        print(f"direct delta: {delta:.4f}")
-        print(f"direct gamma: {gamma:.4f}")
+        lines += [f"direct delta: {delta:.4f}", f"direct gamma: {gamma:.4f}"]
     if args.dual:
         if args.greeks:
             dual, dual_delta, dual_gamma = valuation_via_dual(spec, mkt, engine)
         else:
             dual = price_via_dual(spec, mkt, engine)
         scale = max(abs(direct), 1e-300)
-        print(f"dual price:   {dual:.3f}")
-        print(f"relative discrepancy: {abs(dual - direct) / scale:.2e}")
+        lines += [
+            f"dual price:   {dual:.3f}",
+            f"relative discrepancy: {abs(dual - direct) / scale:.2e}",
+        ]
         if args.greeks:
-            print(f"dual delta:   {dual_delta:.4f}")
-            print(f"dual gamma:   {dual_gamma:.4f}")
+            lines += [f"dual delta:   {dual_delta:.4f}", f"dual gamma:   {dual_gamma:.4f}"]
+    for line in lines:
+        print(line)
     return 0
 
 
@@ -271,10 +284,10 @@ def cmd_hedge(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    commands = {"price": cmd_price, "table": cmd_table, "hedge": cmd_hedge}
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except PricingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -4,13 +4,15 @@ import contextlib
 import io
 import math
 import re
+import types
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualpricer import PricingError
+from dualpricer import PricingError, cli
 from dualpricer.cli import main
 from dualpricer.experiment import ExperimentConfig, load_file, loads
 
@@ -121,6 +123,8 @@ def test_price_too_many_steps_fails(capsys):
          "--vol", "0.2", "-T", "1", "--greeks", "--dual"],
         ["--style", "american", "-r=-1000", "-q=-1000", "--vol", "0.4", "-T", "1"],
         ["--style", "american", "-r=-1e300", "-q=-1e300", "--vol", "0.4", "-T", "1"],
+        ["--style", "european", "--right", "call", "-S", "1e-300", "-K", "1e-300", "-r", "0",
+         "--vol", "1", "-T", "1", "--greeks", "--dual"],
     ],
     ids=[
         "tree-vol-50",
@@ -132,10 +136,13 @@ def test_price_too_many_steps_fails(capsys):
         "extreme-moneyness",
         "tree-discount",
         "tree-huge-discount",
+        "dual-greeks-after-direct",
     ],
 )
 def test_price_beyond_float_range_fails(argv, capsys):
-    # later flags win: the put at S 36, K 40 unless the case says otherwise
+    # nothing is printed before the failure, not even a direct leg that
+    # succeeded.  Later flags win: the put at S 36, K 40 unless the case
+    # says otherwise
     rc, out, err = run(["price", "--right", "put", "-S", "36", "-K", "40", *argv], capsys)
     assert rc == 1
     assert out == ""
@@ -171,8 +178,8 @@ def price_inputs(draw):
 @settings(max_examples=500, deadline=None)
 @given(price_inputs())
 def test_price_prices_or_fails_cleanly(inputs):
-    # finite output and exit 0, or "error: ..." and exit 1; any other
-    # exception, a RuntimeWarning included, propagates out of main
+    # finite output and exit 0, or no output, "error: ..." and exit 1; any
+    # other exception, a RuntimeWarning included, propagates out of main
     argv = ["price", *(f"--{flag}={value}" for flag, value in inputs.items())]
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings():
@@ -183,7 +190,7 @@ def test_price_prices_or_fails_cleanly(inputs):
     if rc == 0:
         assert err.getvalue() == "" and out.getvalue().count("\n") == 7
     else:
-        assert rc == 1 and err.getvalue().startswith("error:")
+        assert rc == 1 and out.getvalue() == "" and err.getvalue().startswith("error:")
 
 
 HEDGE_FLAGS = {
@@ -551,3 +558,118 @@ def test_hedge_sim_flag_via_config(tmp_path, capsys):
     rc, out, _ = run(["hedge", "--config", str(path)], capsys)
     assert rc == 0
     assert "simulated paths: 200 (seed 3, drift 0.04)" in out
+
+
+# --- one parser per process, commands looked up by name ------------------
+
+EUROPEAN_PUT = [
+    "price", "--style", "european", "--right", "put",
+    "-S", "36", "-K", "40", "-r", "0", "-q", "0.06", "--vol", "0.4", "-T", "1",
+]
+
+
+@pytest.fixture
+def fresh_parser_cache():
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_parser_is_built_once_per_process(fresh_parser_cache, monkeypatch, capsys):
+    builds = []
+    build = cli.build_parser
+
+    def counting_build():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    for argv in (["table", "t4"], EUROPEAN_PUT, ["hedge", "--spot0", "55", "--spotTh", "45"]):
+        rc, _, err = run(argv, capsys)
+        assert rc == 0 and err == ""
+    assert len(builds) == 1
+
+
+def test_commands_are_looked_up_at_call_time(fresh_parser_cache, monkeypatch, capsys):
+    run(["table", "t4"], capsys)
+    calls = []
+    monkeypatch.setattr(cli, "cmd_table", lambda args: calls.append(args.name) or 7)
+    assert main(["table", "t4"]) == 7
+    assert calls == ["t4"]
+
+
+def _outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = ("exit", exc.code)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_cached_parser_keeps_no_state_between_calls(fresh_parser_cache, monkeypatch, tmp_path):
+    sim = ["hedge", "--sim", "--spot0", "50"]
+    steps = [
+        (["table", "t9"], None),
+        (["table", "t4", "--out", str(tmp_path / "t4.txt"), "--scheme", "wu-zhu"], None),
+        (["table", "t4"], None),
+        (["price", "--style", "european", "--right", "call", "-S", "1e-300", "-K", "1e-300",
+          "-r", "0", "--vol", "1", "-T", "1", "--greeks", "--dual"], None),
+        (EUROPEAN_PUT, None),
+        (sim, "9"),
+        (sim, None),
+        (["hedge", "--spot0", "55", "--spotTh", "45"], None),
+    ]
+
+    def outcomes(fresh):
+        results = []
+        for argv, seed in steps:
+            if seed is None:
+                monkeypatch.delenv("DUALPRICER_SEED", raising=False)
+            else:
+                monkeypatch.setenv("DUALPRICER_SEED", seed)
+            if fresh:
+                cli._parser.cache_clear()
+            results.append(_outcome(argv))
+        return results
+
+    cached = outcomes(fresh=False)
+    assert cached == outcomes(fresh=True)
+    assert cached[0][0] == ("exit", 2)
+    written = (tmp_path / "t4.txt").read_text(encoding="utf-8")
+    assert cached[1][1] == "" and "wu_zhu_gross" in written and "bsm_dual" not in written
+    assert "wu_zhu_gross" in cached[2][1] and "bsm_dual_gross" in cached[2][1]
+    rc, out, err = cached[3]
+    assert rc == 1 and out == "" and err.startswith("error:")
+    assert "(seed 9," in cached[5][1] and "(seed 42," in cached[6][1]
+
+
+def _load_tracer():
+    # executed from its source so that nothing is written beside it
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    module = types.ModuleType("tracer")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["table", "t4"], EUROPEAN_PUT, ["hedge", "--spot0", "55", "--spotTh", "45"]],
+    ids=["table", "price", "hedge"],
+)
+def test_tracer_sees_every_call_through_the_cached_parser(argv, fresh_parser_cache):
+    # the benchmark warms up before it wraps the package; a parser built in
+    # the warm-up must not hold the unwrapped commands.  cli.main is called
+    # through the module, as the benchmark does, so that it is wrapped too
+    cli.main(["table", "t4"])
+    tracing = _load_tracer()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install("dualpricer")
+        cli.main(argv)
+        tracer.request = (0, "check")
+        assert tracer.check_bindings(lambda: cli.main(argv)) == {}
+    finally:
+        tracer.disable()
