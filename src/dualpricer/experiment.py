@@ -59,5 +59,10 @@ def loads(text: str) -> ExperimentConfig:
 
 
 def load_file(path: str) -> ExperimentConfig:
+    """Parse an experiment file; one that is not UTF-8 raises ``PricingError``."""
     with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise PricingError(f"experiment file {path!r} is not UTF-8: {exc}") from None
+    return loads(text)

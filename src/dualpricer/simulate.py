@@ -6,7 +6,9 @@ true hedge error, and the run is summarized by the mean percentage error
 
 Draws come from a counter-based generator (Philox) through the inverse
 normal CDF, so a seed pins the full stream independently of platform and
-path count ordering.
+path count ordering.  Runs that share seed, paths and hedge may differ in
+spot, drift and scheme and share one pass over that stream (table t7);
+passed-in ``draws`` remain so that tests can pin degenerate paths.
 
 A run walks numpy's pairwise-summation tree over its paths (see
 ``_tree_sums``) and, at each leaf of at most ``_BLOCK`` paths in turn,
@@ -20,7 +22,6 @@ bounded by one leaf whatever the path count.  Runs are capped at
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -135,21 +136,21 @@ def run_hedge_sim(cfg: SimConfig, draws=None) -> SimSummary:
     """Simulate true hedge errors and aggregate them.
 
     ``draws`` overrides the seeded normal draws (length must equal
-    ``cfg.paths``); it exists for degenerate-path tests and for sharing
-    one shock set across runs, and is never written to.  Terminal spots
-    that ``hedge.true_errors`` rejects, and a summary out of the float
-    range, raise ``PricingError``.
+    ``cfg.paths``) and is never written to; tests pass it to pin
+    degenerate paths.  Terminal spots that ``hedge.true_errors`` rejects,
+    and a summary out of the float range, raise ``PricingError``.
     """
     (summary,) = _run((cfg,), draws)
     return summary
 
 
 def run_hedge_sims(cfgs, draws=None) -> tuple:
-    """``run_hedge_sim`` for runs that differ only in their scheme.
+    """``run_hedge_sim`` for runs that share seed, paths and hedge.
 
-    The runs share their draws, terminal spots and horizon valuation; each
-    summary has the bits of its own ``run_hedge_sim``.  Raises
-    ``ValueError`` when the configurations differ in anything else.
+    The runs may differ in spot, drift and scheme; they share one set of
+    draws, and runs with the same spot and drift one horizon valuation.
+    Each summary, in input order, has the bits of its own run.  Runs that
+    differ in seed, paths or hedge raise ``ValueError``.
     """
     return _run(tuple(cfgs), draws)
 
@@ -157,53 +158,55 @@ def run_hedge_sims(cfgs, draws=None) -> tuple:
 def _run(cfgs, draws) -> tuple:
     """The leaf loop behind ``run_hedge_sim`` and ``run_hedge_sims``.
 
-    Each leaf draws its normals from the run's one Philox stream, or
-    slices them from ``draws``, moves the spots with ``gbm_terminal`` and
-    values them once for every scheme with ``true_errors``, against setup
-    costs valued once per run.  It sums the ratios of error to hedged-call
-    price, their absolute values and the squared errors; the summaries are
-    those sums, added up the tree by ``_tree_sums``, over the path count.
-    It is private so that a traced run charges the loop's own time to
-    whichever public entry was called.
+    Each leaf draws its normals once, from the run's one Philox stream or
+    from ``draws``.  Per distinct (spot, drift) it moves them with
+    ``gbm_terminal``, values them once with ``true_errors`` for the group's
+    schemes and sums the ratios of error to hedged-call price, their
+    absolute values and the squared errors, which ``_tree_sums`` adds up.
+    Private, so that a traced run charges its time to the public entry.
     """
     cfg = cfgs[0]
-    if any(dataclasses.replace(c, scheme=cfg.scheme) != cfg for c in cfgs):
-        raise ValueError("runs that share paths may differ only in scheme")
+    if any((c.seed, c.paths, c.hedge) != (cfg.seed, cfg.paths, cfg.hedge) for c in cfgs):
+        raise ValueError("runs that share paths must share seed, paths and hedge")
     hedge = cfg.hedge
     if draws is None:
         rng = _philox(cfg.seed)
     else:
         z = np.asarray(draws, dtype=float)
         if z.shape != (cfg.paths,):
-            raise PricingError(
-                f"draws must have shape ({cfg.paths},), got {z.shape}"
-            )
-    weight_sets = [solve_weights(hedge, c.scheme) for c in cfgs]
-    costs = [net_cost(hedge, w, cfg.spot)[0] for w in weight_sets]
+            raise PricingError(f"draws must have shape ({cfg.paths},), got {z.shape}")
+    weights = {s: solve_weights(hedge, s) for s in dict.fromkeys(c.scheme for c in cfgs)}
+    groups = {}  # (spot, drift) -> (indices into cfgs, weight sets, setup costs)
+    for k, c in enumerate(cfgs):
+        ks, weight_sets, costs = groups.setdefault((c.spot, c.drift), ([], [], []))
+        ks.append(k)
+        weight_sets.append(weights[c.scheme])
+        costs.append(net_cost(hedge, weights[c.scheme], c.spot)[0])
 
     def leaf_sums(start, count):
         leaf = normal_draws(rng, count) if draws is None else z[start : start + count]
-        with np.errstate(over="ignore"):  # true_errors rejects the inf spots
-            spots = gbm_terminal(cfg.spot, cfg.drift, hedge.vol, hedge.horizon, leaf)
-        errors, target = true_errors(hedge, weight_sets, costs, spots)
         sums = []
-        with np.errstate(all="ignore"):  # a summary out of the float range raises below
-            for err in errors:
-                ratios = np.divide(err, target)
-                sums += [
-                    float(np.add.reduce(ratios)),
-                    float(np.add.reduce(np.abs(ratios, out=ratios))),
-                    float(np.add.reduce(np.square(err, out=err))),
-                ]
+        for (spot, drift), (_, weight_sets, costs) in groups.items():
+            with np.errstate(over="ignore"):  # true_errors rejects the inf spots
+                spots = gbm_terminal(spot, drift, hedge.vol, hedge.horizon, leaf)
+            errors, target = true_errors(hedge, weight_sets, costs, spots)
+            with np.errstate(all="ignore"):  # a summary out of the float range raises below
+                for err in errors:
+                    ratios = np.divide(err, target)
+                    sums += [
+                        float(np.add.reduce(ratios)),
+                        float(np.add.reduce(np.abs(ratios, out=ratios))),
+                        float(np.add.reduce(np.square(err, out=err))),
+                    ]
         return sums
 
-    means = [total / cfg.paths for total in _tree_sums(leaf_sums, cfg.paths)]
-    summaries = []
-    for k in range(0, len(means), 3):
-        mhe, mae, rmse = 100.0 * means[k], 100.0 * means[k + 1], math.sqrt(means[k + 2])
+    means = iter([total / cfg.paths for total in _tree_sums(leaf_sums, cfg.paths)])
+    summaries = [None] * len(cfgs)
+    for k in (k for ks, _, _ in groups.values() for k in ks):
+        mhe, mae, rmse = 100.0 * next(means), 100.0 * next(means), math.sqrt(next(means))
         if not all(map(math.isfinite, (mhe, mae, rmse))):
             raise PricingError(
-                f"simulated hedge errors leave the float range (spot {cfg.spot:g})"
+                f"simulated hedge errors leave the float range (spot {cfgs[k].spot:g})"
             )
-        summaries.append(SimSummary(mhe_pct=mhe, mae_pct=mae, rmse=rmse, paths=cfg.paths))
+        summaries[k] = SimSummary(mhe_pct=mhe, mae_pct=mae, rmse=rmse, paths=cfg.paths)
     return tuple(summaries)

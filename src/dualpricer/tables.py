@@ -39,7 +39,7 @@ from .hedge import (
     true_error,
 )
 from .lattice import lattice_price
-from .simulate import SimConfig, normal_draws, run_hedge_sims
+from .simulate import SimConfig, run_hedge_sims
 
 __all__ = [
     "TableData",
@@ -281,8 +281,12 @@ def table6(scheme: HedgeScheme | None = None) -> TableData:
 
 
 def table7(seed: int = 42, paths: int = 10_000) -> TableData:
-    """Simulated true hedge errors; both schemes see the same valued paths."""
-    draws = normal_draws(seed, paths)
+    """Simulated true hedge errors for ten (drift, spot) rows and both schemes.
+
+    One ``run_hedge_sims`` run gives every row and scheme the same shocks
+    and values each row's horizon spots once for both schemes; its peak
+    memory is one leaf whatever ``paths`` is.
+    """
     schemes = (HedgeScheme.BSM_DUAL, HedgeScheme.WU_ZHU)
     headers = ["drift", "spot_0"]
     formats = ["g", "g"]
@@ -290,24 +294,17 @@ def table7(seed: int = 42, paths: int = 10_000) -> TableData:
         key = _scheme_key(s)
         headers += [f"{key}_mhe_pct", f"{key}_mae_pct", f"{key}_rmse"]
         formats += [".2f", ".2f", ".3f"]
+    cfgs = [
+        SimConfig(spot, drift, paths, seed, DEFAULT_HEDGE, s)
+        for drift in (0.04, 0.08)
+        for spot in (46.0, 48.0, 50.0, 52.0, 54.0)
+        for s in schemes
+    ]
     rows = []
-    for drift in (0.04, 0.08):
-        for spot in (46.0, 48.0, 50.0, 52.0, 54.0):
-            cfgs = [
-                SimConfig(
-                    spot=spot,
-                    drift=drift,
-                    paths=paths,
-                    seed=seed,
-                    hedge=DEFAULT_HEDGE,
-                    scheme=s,
-                )
-                for s in schemes
-            ]
-            row = [drift, spot]
-            for summary in run_hedge_sims(cfgs, draws=draws):
-                row += [summary.mhe_pct, summary.mae_pct, summary.rmse]
-            rows.append(tuple(row))
+    for cfg, summary in zip(cfgs, run_hedge_sims(cfgs)):
+        if cfg.scheme is schemes[0]:
+            rows.append((cfg.drift, cfg.spot))
+        rows[-1] += (summary.mhe_pct, summary.mae_pct, summary.rmse)
     return TableData(
         name="t7",
         title=f"Simulated true hedge errors ({paths} paths, seed {seed})",

@@ -543,6 +543,15 @@ def test_hedge_config_bad_number(tmp_path, capsys):
     assert "Kd" in err
 
 
+def test_hedge_config_not_utf8(tmp_path, capsys):
+    path = tmp_path / "run.exp"
+    path.write_bytes(b"command = hedge\n\xff\xfe\x00bad\n")
+    rc, out, err = run(["hedge", "--config", str(path)], capsys)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and "UTF-8" in err
+
+
 def test_hedge_config_bad_scheme(tmp_path, capsys):
     path = write_config(tmp_path, "command = hedge\nscheme = foo\n")
     rc, out, err = run(["hedge", "--config", str(path)], capsys)
@@ -656,8 +665,13 @@ def _load_tracer():
 
 @pytest.mark.parametrize(
     "argv",
-    [["table", "t4"], EUROPEAN_PUT, ["hedge", "--spot0", "55", "--spotTh", "45"]],
-    ids=["table", "price", "hedge"],
+    [
+        ["table", "t4"],
+        EUROPEAN_PUT,
+        ["hedge", "--spot0", "55", "--spotTh", "45"],
+        ["table", "t7", "--paths", "2000"],
+    ],
+    ids=["table", "price", "hedge", "t7"],
 )
 def test_tracer_sees_every_call_through_the_cached_parser(argv, fresh_parser_cache):
     # the benchmark warms up before it wraps the package; a parser built in

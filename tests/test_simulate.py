@@ -319,12 +319,20 @@ def test_run_memory_is_bounded_by_one_leaf():
 
 def test_runs_sharing_paths_match_their_single_runs():
     draws = normal_draws(21, 2 * _BLOCK + 3)
-    cfgs = [sim(paths=draws.size, scheme=s) for s in HedgeScheme]
+    # spots, drifts and schemes mixed, groups interleaved, one run twice
+    cfgs = [
+        sim(paths=draws.size, scheme=s, spot=spot, drift=drift)
+        for spot, drift in ((50.0, 0.04), (46.0, 0.04), (50.0, 0.08), (54.0, -0.2))
+        for s in HedgeScheme
+    ]
+    cfgs = cfgs[::2] + cfgs[1::2] + cfgs[:1]
     for passed in (None, draws):
         shared = run_hedge_sims(cfgs, draws=passed)
         assert [bits(s) for s in shared] == [bits(run_hedge_sim(c, passed)) for c in cfgs]
-    with pytest.raises(ValueError, match="only in scheme"):
-        run_hedge_sims([cfgs[0], dataclasses.replace(cfgs[1], drift=0.05)])
+    other_hedge = dataclasses.replace(DEFAULT_HEDGE, vol=0.25)
+    for field, value in (("seed", 43), ("paths", 2001), ("hedge", other_hedge)):
+        with pytest.raises(ValueError, match="seed, paths and hedge"):
+            run_hedge_sims([cfgs[0], dataclasses.replace(cfgs[1], **{field: value})])
 
 
 def counting(monkeypatch, module, name, calls):

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,6 +162,22 @@ def test_table7_values_each_row_horizon_once_for_both_schemes(monkeypatch):
     assert sum(horizon) == 4 * paths * len(table.rows)
     assert len(setup) == 4 * 2 * len(table.rows)
     assert len(horizon) + len(setup) == len(elements)
+
+
+def table7_peak_bytes(paths):
+    tracemalloc.start()
+    try:
+        TABLE_BUILDERS["t7"](paths=paths)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_table7_memory_is_bounded_by_one_leaf():
+    # all rows and schemes share one leaf loop: no table-wide draw buffer
+    small, large = table7_peak_bytes(100_000), table7_peak_bytes(400_000)
+    assert large < 2 * 2**20
+    assert large <= 1.1 * small
 
 
 def test_render_text_layout():
