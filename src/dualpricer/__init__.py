@@ -58,7 +58,9 @@ from .lattice import (
     lattice_delta,
     lattice_gamma,
     lattice_price,
+    lattice_prices,
     lattice_valuation,
+    lattice_valuations,
 )
 from .simulate import (
     SimConfig,

@@ -3,15 +3,23 @@
 Tree Greeks are read off the step-1 and step-2 nodes and quoted at time 0,
 which is the convention the rest of the package validates against.  One
 backward induction gives all the nodes that price, delta and gamma need,
-so ``lattice_valuation`` returns the three together.  The induction runs
-in the numpy kernel ``_crr_numpy``.
+so a valuation returns the three together.  The induction runs in the
+numpy kernel ``_crr_numpy``.
 
-The last induction is memoized, keyed on the kernel's eight arguments, so
-price, delta and gamma asked one after another of the same tree (directly,
-or of the same dual tree) run one induction.  The memo holds one entry:
-it serves only "the same tree again right away", and a report that values
-distinct trees never hits it.  Trees are capped at ``MAX_STEPS`` steps,
-because induction work grows with the square of the step count.
+``lattice_prices`` and ``lattice_valuations`` value many (spec, market)
+pairs at one step count.  Trees that share every kernel scalar (up,
+prob_up, step discount, steps, right and style) form one group, whatever
+their spot and strike, and each group is one kernel call over the tuples
+of its spots and strikes.  Each tree gets the bits it gets alone.
+``lattice_price`` and ``lattice_valuation`` are the one-pair case.
+
+The last kernel call is memoized, keyed on its eight arguments, and the
+memo holds that call's tuple of per-tree node values.  So price, delta and
+gamma asked one after another of the same tree (directly, or of the same
+dual tree) run one induction.  The memo holds one entry: it serves only
+"the same trees again right away", and a report that values distinct
+groups never hits it.  Trees are capped at ``MAX_STEPS`` steps, because
+induction work grows with the square of the step count.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import _crr_numpy as _kernel
@@ -39,7 +48,9 @@ __all__ = [
     "LatticeParams",
     "build_lattice",
     "lattice_price",
+    "lattice_prices",
     "lattice_valuation",
+    "lattice_valuations",
     "lattice_delta",
     "lattice_gamma",
 ]
@@ -99,39 +110,67 @@ def build_lattice(mkt: MarketState, maturity: float, steps: int) -> LatticeParam
 
 
 @functools.lru_cache(maxsize=1)
-def _nodes(*args):
-    nodes = _kernel.induct(*args)
-    steps = args[5]
+def _nodes(spots, strikes, *scalars):
+    trees = _kernel.induct(spots, strikes, *scalars)
+    steps = scalars[3]
     # Greeks read the step-1 and step-2 nodes; a one-step tree has no step 2.
-    used = nodes if steps >= 2 else nodes[:3]
-    if not all(map(math.isfinite, used)):
-        raise PricingError(f"tree values leave the float range at {steps} steps")
-    return nodes
+    used = 6 if steps >= 2 else 3
+    for spot, strike, nodes in zip(spots, strikes, trees):
+        if not all(map(math.isfinite, nodes[:used])):
+            raise PricingError(
+                f"tree values leave the float range at {steps} steps "
+                f"(spot {spot:g}, strike {strike:g})"
+            )
+    return trees
 
 
-def _induct(spec: OptionSpec, mkt: MarketState, params: LatticeParams):
-    discount = math.exp(-mkt.rate * params.dt)
-    return _nodes(
-        mkt.spot,
-        spec.strike,
-        params.up,
-        params.prob_up,
-        discount,
-        params.steps,
-        spec.right is OptionRight.CALL,
-        spec.style is ExerciseStyle.AMERICAN,
-    )
+def _induct(pairs: Sequence[tuple[OptionSpec, MarketState]], steps: int):
+    """Each pair's tree parameters and six node values, in input order.
+
+    Trees are grouped by their kernel scalars, and each group is one
+    kernel call, made through the memo.
+    """
+    groups = {}
+    where = []
+    for spec, mkt in pairs:
+        params = build_lattice(mkt, spec.maturity, steps)
+        scalars = (
+            params.up,
+            params.prob_up,
+            math.exp(-mkt.rate * params.dt),
+            steps,
+            spec.right is OptionRight.CALL,
+            spec.style is ExerciseStyle.AMERICAN,
+        )
+        members = groups.setdefault(scalars, [])
+        where.append((params, scalars, len(members)))
+        members.append((mkt.spot, spec.strike))
+    nodes = {
+        scalars: _nodes(*zip(*members), *scalars)
+        for scalars, members in groups.items()
+    }
+    return [(params, nodes[scalars][index]) for params, scalars, index in where]
+
+
+def lattice_prices(
+    pairs: Sequence[tuple[OptionSpec, MarketState]], steps: int
+) -> list[float]:
+    """Tree prices of a sequence of (spec, market) pairs, in input order.
+
+    American trees compare hold to intrinsic at every node.
+    """
+    return [nodes[0] for _, nodes in _induct(pairs, steps)]
 
 
 def lattice_price(spec: OptionSpec, mkt: MarketState, steps: int) -> float:
-    """Tree price by backward induction; American compares hold to intrinsic."""
-    return _induct(spec, mkt, build_lattice(mkt, spec.maturity, steps))[0]
+    """Tree price of one option; see ``lattice_prices``."""
+    return lattice_prices([(spec, mkt)], steps)[0]
 
 
-def lattice_valuation(
-    spec: OptionSpec, mkt: MarketState, steps: int
-) -> tuple[float, float, float]:
-    """Price, delta and gamma from one induction.
+def lattice_valuations(
+    pairs: Sequence[tuple[OptionSpec, MarketState]], steps: int
+) -> list[tuple[float, float, float]]:
+    """Price, delta and gamma of each (spec, market) pair, in input order.
 
     Delta is the first difference of the two step-1 node values; gamma is
     the central second difference of the three step-2 node values.  Greeks
@@ -139,17 +178,30 @@ def lattice_valuation(
     """
     if steps < 2:
         raise PricingError(f"tree Greeks need steps >= 2, got {steps}")
-    params = build_lattice(mkt, spec.maturity, steps)
-    v00, v10, v11, v20, v21, v22 = _induct(spec, mkt, params)
-    delta = (v11 - v10) / (mkt.spot * params.up - mkt.spot * params.down)
-    s_up = mkt.spot * params.up**2
-    s_dn = mkt.spot * params.down**2
-    slope_up = (v22 - v21) / (s_up - mkt.spot)
-    slope_dn = (v21 - v20) / (mkt.spot - s_dn)
-    gamma = (slope_up - slope_dn) / (0.5 * (s_up - s_dn))
-    if not (math.isfinite(delta) and math.isfinite(gamma)):
-        raise PricingError(f"tree Greeks leave the float range at {steps} steps")
-    return v00, delta, gamma
+    out = []
+    for (spec, mkt), (params, nodes) in zip(pairs, _induct(pairs, steps)):
+        v00, v10, v11, v20, v21, v22 = nodes
+        delta = (v11 - v10) / (mkt.spot * params.up - mkt.spot * params.down)
+        s_up = mkt.spot * params.up**2
+        s_dn = mkt.spot * params.down**2
+        slope_up = (v22 - v21) / (s_up - mkt.spot)
+        slope_dn = (v21 - v20) / (mkt.spot - s_dn)
+        gamma = (slope_up - slope_dn) / (0.5 * (s_up - s_dn))
+        if not (math.isfinite(delta) and math.isfinite(gamma)):
+            raise PricingError(
+                f"tree Greeks leave the float range at {steps} steps "
+                f"(spot {mkt.spot:g}, strike {spec.strike:g})"
+            )
+        out.append((v00, delta, gamma))
+    return out
+
+
+def lattice_valuation(
+    spec: OptionSpec, mkt: MarketState, steps: int
+) -> tuple[float, float, float]:
+    """Price, delta and gamma of one option from one induction; see
+    ``lattice_valuations``."""
+    return lattice_valuations([(spec, mkt)], steps)[0]
 
 
 def lattice_delta(spec: OptionSpec, mkt: MarketState, steps: int) -> float:

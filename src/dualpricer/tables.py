@@ -23,13 +23,7 @@ from .analytic import (
     OptionSpec,
     call_price,
 )
-from .duality import (
-    LatticeEngine,
-    from_dual_valuation,
-    price_currency_put_approx,
-    price_via_dual,
-    to_dual,
-)
+from .duality import from_dual_valuation, price_currency_put_approx, to_dual
 from .hedge import (
     HedgeConfig,
     HedgeScheme,
@@ -38,7 +32,7 @@ from .hedge import (
     solve_weights,
     true_error,
 )
-from .lattice import lattice_price
+from .lattice import lattice_prices, lattice_valuations
 from .simulate import SimConfig, run_hedge_sims
 
 __all__ = [
@@ -78,32 +72,43 @@ class TableData:
     rows: tuple[tuple, ...]
 
 
-def _american(right: OptionRight) -> OptionSpec:
-    return OptionSpec(
-        right=right,
+def _put_grid(rate: float, dividend_yield: float):
+    """(spec, market) pairs of the American put at each pricing spot."""
+    spec = OptionSpec(
+        right=OptionRight.PUT,
         style=ExerciseStyle.AMERICAN,
         strike=_PRICING_STRIKE,
         maturity=_PRICING_MATURITY,
     )
+    return [
+        (spec, MarketState(spot, rate, dividend_yield, _PRICING_VOL))
+        for spot in _PRICING_SPOTS
+    ]
+
+
+def _with_duals(pairs):
+    """The pairs followed by their swapped twins, to value in one batch."""
+    return pairs + [to_dual(*pair) for pair in pairs]
 
 
 def table1(steps: int = 365) -> TableData:
-    """American put prices next to their swapped-problem call prices."""
-    spec = _american(OptionRight.PUT)
-    engine = LatticeEngine(steps)
+    """American put prices next to their swapped-problem call prices.
+
+    The direct puts share every tree scalar but spot, and so do the dual
+    calls, so the ten trees take two kernel calls.
+    """
+    pairs = _put_grid(0.06, 0.0)
+    prices = lattice_prices(_with_duals(pairs), steps)
     rows = []
-    for spot in _PRICING_SPOTS:
-        mkt = MarketState(spot, 0.06, 0.0, _PRICING_VOL)
-        direct = lattice_price(spec, mkt, steps)
-        dual = price_via_dual(spec, mkt, engine)
+    for (spec, mkt), direct, dual in zip(pairs, prices, prices[len(pairs) :]):
         rows.append(
             (
-                spot,
+                mkt.spot,
                 spec.strike,
-                float(direct),
+                direct,
                 spec.strike,
-                spot,
-                float(dual),
+                mkt.spot,
+                dual,
                 100.0 * (dual - direct) / direct,
             )
         )
@@ -125,26 +130,27 @@ def table1(steps: int = 365) -> TableData:
 
 
 def table2(steps: int = 365) -> TableData:
-    """Tree delta and gamma of American puts, direct and via the dual call."""
-    spec = _american(OptionRight.PUT)
-    engine = LatticeEngine(steps)
-    valuations = []
-    for spot in _PRICING_SPOTS:
-        mkt = MarketState(spot, 0.06, 0.0, _PRICING_VOL)
-        dual_tree = engine.valuation(*to_dual(spec, mkt))
-        via = from_dual_valuation(spec, mkt, dual_tree)
-        valuations.append((spot, engine.valuation(spec, mkt), dual_tree, via))
+    """Tree delta and gamma of American puts, direct and via the dual call.
+
+    Two kernel calls, as in ``table1``.
+    """
+    pairs = _put_grid(0.06, 0.0)
+    trees = lattice_valuations(_with_duals(pairs), steps)
+    valuations = [
+        (spec, mkt, direct, dual_tree, from_dual_valuation(spec, mkt, dual_tree))
+        for (spec, mkt), direct, dual_tree in zip(pairs, trees, trees[len(pairs) :])
+    ]
     rows = []
     for index, label in ((1, "delta"), (2, "gamma")):
-        for spot, direct, dual_tree, via in valuations:
+        for spec, mkt, direct, dual_tree, via in valuations:
             rows.append(
                 (
                     label,
-                    spot,
+                    mkt.spot,
                     spec.strike,
-                    float(direct[index]),
-                    float(dual_tree[index]),
-                    float(via[index]),
+                    direct[index],
+                    dual_tree[index],
+                    via[index],
                     100.0 * (via[index] - direct[index]) / direct[index],
                 )
             )
@@ -166,24 +172,24 @@ def table2(steps: int = 365) -> TableData:
 
 
 def table3(steps: int = 365) -> TableData:
-    """American currency puts against the closed-form approximation."""
-    spec = _american(OptionRight.PUT)
+    """American currency puts against the closed-form approximation.
+
+    Each domestic rate is one group of trees, so three kernel calls.
+    """
+    pairs = [pair for rate in (0.0, 0.03, 0.05) for pair in _put_grid(rate, 0.06)]
     rows = []
-    for rate in (0.0, 0.03, 0.05):
-        for spot in _PRICING_SPOTS:
-            mkt = MarketState(spot, rate, 0.06, _PRICING_VOL)
-            american = lattice_price(spec, mkt, steps)
-            approx, tag = price_currency_put_approx(spec, mkt)
-            rows.append(
-                (
-                    rate,
-                    spot,
-                    float(american),
-                    float(approx),
-                    tag.value,
-                    100.0 * (approx - american) / american,
-                )
+    for (spec, mkt), american in zip(pairs, lattice_prices(pairs, steps)):
+        approx, tag = price_currency_put_approx(spec, mkt)
+        rows.append(
+            (
+                mkt.rate,
+                mkt.spot,
+                american,
+                float(approx),
+                tag.value,
+                100.0 * (approx - american) / american,
             )
+        )
     return TableData(
         name="t3",
         title="American currency put vs closed-form approximation, foreign rate 6%",

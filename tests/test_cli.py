@@ -664,16 +664,20 @@ def _load_tracer():
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,kernel_calls",
     [
-        ["table", "t4"],
-        EUROPEAN_PUT,
-        ["hedge", "--spot0", "55", "--spotTh", "45"],
-        ["table", "t7", "--paths", "2000"],
+        (["table", "t4"], {}),
+        (EUROPEAN_PUT, {}),
+        (["hedge", "--spot0", "55", "--spotTh", "45"], {}),
+        (["table", "t7", "--paths", "2000"], {}),
+        (["table", "t1"], {"kernel.calls.t1": 2}),
+        (["table", "t3"], {"kernel.calls.t3": 3}),
     ],
-    ids=["table", "price", "hedge", "t7"],
+    ids=["table", "price", "hedge", "t7", "t1", "t3"],
 )
-def test_tracer_sees_every_call_through_the_cached_parser(argv, fresh_parser_cache):
+def test_tracer_sees_every_call_through_the_cached_parser(
+    argv, kernel_calls, fresh_parser_cache
+):
     # the benchmark warms up before it wraps the package; a parser built in
     # the warm-up must not hold the unwrapped commands.  cli.main is called
     # through the module, as the benchmark does, so that it is wrapped too
@@ -685,5 +689,10 @@ def test_tracer_sees_every_call_through_the_cached_parser(argv, fresh_parser_cac
         cli.main(argv)
         tracer.request = (0, "check")
         assert tracer.check_bindings(lambda: cli.main(argv)) == {}
+        # one traced pass, whose spans the per-layer metrics must be able to
+        # read: they hash the kernel's arguments, so a batch must be tuples
+        cli.main(argv)
     finally:
         tracer.disable()
+    metrics = tracing.layer_metrics(tracer.spans, 1, 1)
+    assert {name: metrics[name] for name in kernel_calls} == kernel_calls

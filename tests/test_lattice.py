@@ -22,6 +22,7 @@ from dualpricer import (
     lattice_delta,
     lattice_gamma,
     lattice_price,
+    lattice_prices,
 )
 from dualpricer import _crr_numpy
 from dualpricer.lattice import MAX_STEPS
@@ -173,7 +174,7 @@ def test_discount_compounding_near_float_max_prices():
 
 
 def test_numpy_kernel_single_step():
-    out = _crr_numpy.induct(40.0, 40.0, 1.1, 0.5, 1.0, 1, True, False)
+    out = _crr_numpy.induct((40.0,), (40.0,), 1.1, 0.5, 1.0, 1, True, False)[0]
     assert out[0] == pytest.approx(0.5 * (40.0 * 1.1 - 40.0))
     assert np.isnan(out[3])
 
@@ -248,4 +249,59 @@ def chunk_edges(test):
 @example((40.0, 40.0, 1.1, 0.5, 0.99, 2, True, False))
 @chunk_edges
 def test_in_place_kernel_matches_allocating_reference(tree):
-    assert bits(_crr_numpy.induct(*tree)) == bits(allocating_induct(*tree))
+    spot, strike, *scalars = tree
+    out = _crr_numpy.induct((spot,), (strike,), *scalars)
+    assert bits(out[0]) == bits(allocating_induct(*tree))
+
+
+@st.composite
+def batches(draw):
+    """1 to 8 trees that share every kernel scalar but spot and strike."""
+    _, _, *scalars = draw(trees())
+    size = draw(st.integers(1, 8))
+    spots = draw(st.lists(st.floats(1.0, 1000.0), min_size=size, max_size=size))
+    strikes = [
+        spot if draw(st.booleans()) else draw(st.floats(1.0, 1000.0)) for spot in spots
+    ]
+    return (tuple(spots), tuple(strikes), *scalars)
+
+
+def batch_edges(test):
+    """Three trees at steps around the kernel's chunk edges and at 1000, and
+    the e^709 tree of ``chunk_edges`` beside an ordinary tree: its dead
+    prices overflow, and the neighbour's column must not see it."""
+    chunk = _crr_numpy._CHUNK
+    batch = ((40.0, 36.0, 44.0), (40.0, 40.0, 38.0))
+    for steps in (chunk - 1, chunk + 1, 2 * chunk + 1, 1000):
+        for is_call in (False, True):
+            for is_american in (False, True):
+                tree = (1.01, 0.5, 0.999, steps, is_call, is_american)
+                test = example((*batch, *tree))(test)
+    overflow = ((1.0, 0.5), (1.0, 0.5), math.exp(0.709), 0.5, 0.999, 1000, True, True)
+    return example(overflow)(test)
+
+
+@settings(max_examples=200, deadline=None)
+@given(batches())
+@batch_edges
+def test_batched_kernel_keeps_every_trees_bits(batch):
+    spots, strikes, *scalars = batch
+    out = _crr_numpy.induct(spots, strikes, *scalars)
+    assert len(out) == len(spots)
+    for spot, strike, nodes in zip(spots, strikes, out):
+        assert bits(nodes) == bits(allocating_induct(spot, strike, *scalars))
+
+
+def test_overflow_in_a_batch_names_its_tree():
+    # both trees share every kernel scalar, so they are one kernel call;
+    # only the second one's values leave the float range
+    mkt = MarketState(40.0, -15.0, -15.0, 0.40)
+    wide = MarketState(1e305, -15.0, -15.0, 0.40)
+    pairs = [
+        (american(OptionRight.PUT), mkt),
+        (american(OptionRight.PUT, strike=1e305), wide),
+    ]
+    named = r"float range at 100 steps \(spot 1e\+305, strike 1e\+305\)"
+    with pytest.raises(PricingError, match=named):
+        lattice_prices(pairs, 100)
+    assert lattice_prices(pairs[:1], 100) == [lattice_price(*pairs[0], 100)]
