@@ -12,8 +12,6 @@ from .analytic import (
     MarketState,
     OptionRight,
     OptionSpec,
-    bsm_delta,
-    bsm_gamma,
     bsm_price,
     bsm_valuation,
     call_price,

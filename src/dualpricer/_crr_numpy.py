@@ -37,8 +37,6 @@ NaN, and ``lattice`` rejects any output that is not finite.
 
 import numpy as np
 
-NAME = "numpy"
-
 # Steps per chunk of fixed views; 16 to 128 measured the same.
 _CHUNK = 64
 

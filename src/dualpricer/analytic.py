@@ -6,7 +6,8 @@ same formulas the Garman-Kohlhagen prices.  Every number comes from one
 broadcasting ``d1_d2`` and one price expression per right:
 ``call_price``/``put_price`` evaluate it over arrays, and
 ``bsm_valuation`` gives the price, delta and gamma of one contract from a
-single d1; ``bsm_price``/``bsm_delta``/``bsm_gamma`` are its projections.
+single d1.  ``bsm_price`` is its price alone; a Greek is an index into the
+valuation.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ __all__ = [
     "put_price",
     "bsm_valuation",
     "bsm_price",
-    "bsm_delta",
-    "bsm_gamma",
 ]
 
 
@@ -168,13 +167,3 @@ def bsm_valuation(spec: OptionSpec, mkt: MarketState) -> tuple[float, float, flo
 def bsm_price(spec: OptionSpec, mkt: MarketState) -> float:
     """Closed-form price of a European option; see ``bsm_valuation``."""
     return bsm_valuation(spec, mkt)[0]
-
-
-def bsm_delta(spec: OptionSpec, mkt: MarketState) -> float:
-    """Closed-form spot delta; see ``bsm_valuation``."""
-    return bsm_valuation(spec, mkt)[1]
-
-
-def bsm_gamma(spec: OptionSpec, mkt: MarketState) -> float:
-    """Closed-form gamma, the same for both rights; see ``bsm_valuation``."""
-    return bsm_valuation(spec, mkt)[2]

@@ -5,11 +5,11 @@ on "spot" K struck at S with rates (q, r); ``to_dual`` builds that swapped
 (spec, market) pair.  The swap also carries the original strike
 sensitivity, so ``from_dual_valuation`` turns the swapped problem's price,
 delta and gamma into the original's, and rejects a result that leaves the
-float range.  Everything here is engine-agnostic: any object with
-price/delta/gamma methods over (OptionSpec, MarketState), plus a
-``valuation`` method giving all three from one evaluation, works.  Both
-supplied engines are stateless, and ``AnalyticEngine.valuation`` is
-``analytic.bsm_valuation``.
+float range.  Everything here is engine-agnostic: an engine is any object
+whose ``price`` and ``valuation`` (price, delta and gamma from one
+evaluation) take (OptionSpec, MarketState).  Both supplied engines are
+stateless; their ``delta``/``gamma``, like ``delta_via_dual`` and
+``gamma_via_dual``, index a valuation and stay only for the benchmark.
 """
 
 from __future__ import annotations
@@ -69,10 +69,10 @@ class AnalyticEngine:
         return analytic.bsm_price(spec, mkt)
 
     def delta(self, spec: OptionSpec, mkt: MarketState) -> float:
-        return analytic.bsm_delta(spec, mkt)
+        return analytic.bsm_valuation(spec, mkt)[1]
 
     def gamma(self, spec: OptionSpec, mkt: MarketState) -> float:
-        return analytic.bsm_gamma(spec, mkt)
+        return analytic.bsm_valuation(spec, mkt)[2]
 
     def valuation(self, spec: OptionSpec, mkt: MarketState) -> tuple[float, float, float]:
         return analytic.bsm_valuation(spec, mkt)
@@ -91,10 +91,10 @@ class LatticeEngine:
         return lattice.lattice_price(spec, mkt, self.steps)
 
     def delta(self, spec: OptionSpec, mkt: MarketState) -> float:
-        return lattice.lattice_delta(spec, mkt, self.steps)
+        return lattice.lattice_valuation(spec, mkt, self.steps)[1]
 
     def gamma(self, spec: OptionSpec, mkt: MarketState) -> float:
-        return lattice.lattice_gamma(spec, mkt, self.steps)
+        return lattice.lattice_valuation(spec, mkt, self.steps)[2]
 
     def valuation(self, spec: OptionSpec, mkt: MarketState) -> tuple[float, float, float]:
         return lattice.lattice_valuation(spec, mkt, self.steps)

@@ -45,6 +45,12 @@ __all__ = [
 # Largest exponent whose math.exp is a float.
 _LOG_MAX = math.log(sys.float_info.max)
 
+# Least hedged-call price, per unit of strike, that a percentage divides by.
+# Only a call worth less than eps K, the rounding unit of its strike, is
+# rejected (about 1.1e-14 at K = 50).  Just above the floor the error's own
+# rounding noise, about eps K, is still as large as the price.
+_MIN_WORTH = sys.float_info.epsilon
+
 
 class HedgeScheme(enum.Enum):
     BSM_DUAL = "bsm-dual"
@@ -236,8 +242,8 @@ def _valued(cfg: HedgeConfig, weight_sets, spots, at_horizon: bool):
     which must come strictly before the nearest hedging expiry, or at
     setup.  Raises ``PricingError`` unless every spot is positive and
     finite (one min and one max when all are), every value is finite, and
-    the hedged call is worth > 0 at every spot: its price is the
-    denominator of every error percentage.
+    the hedged call is worth at least ``_MIN_WORTH`` of its strike at every
+    spot: its price is the denominator of every error percentage.
     """
     if at_horizon:
         if cfg.horizon >= min(cfg.wing_maturity, cfg.mid_maturity):
@@ -270,9 +276,11 @@ def _valued(cfg: HedgeConfig, weight_sets, spots, at_horizon: bool):
             f"rate {cfg.rate:g}, yield {cfg.dividend_yield:g}"
         )
     worth = np.min(target)
-    if not worth > 0:
+    floor = _MIN_WORTH * cfg.target_strike
+    if not worth >= floor:
         raise PricingError(
-            f"hedged call is worth {worth:.3g}: no percentage of its price"
+            f"hedged call is worth {worth:.3g}, below {floor:.3g}: no "
+            "percentage of its price"
         )
     return diffs, target
 

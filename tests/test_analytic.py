@@ -17,8 +17,6 @@ from dualpricer import (
     OptionSpec,
     PricingError,
     UnsupportedStyleError,
-    bsm_delta,
-    bsm_gamma,
     bsm_price,
     bsm_valuation,
     call_price,
@@ -141,7 +139,7 @@ def test_valuation_beyond_float_range_raises(mkt, strike, right):
 def test_rejects_american_style():
     mkt = MarketState(40.0, 0.06, 0.0, 0.40)
     spec = OptionSpec(OptionRight.PUT, ExerciseStyle.AMERICAN, 40.0, 1.0)
-    for fn in (bsm_valuation, bsm_price, bsm_delta, bsm_gamma):
+    for fn in (bsm_valuation, bsm_price):
         with pytest.raises(UnsupportedStyleError):
             fn(spec, mkt)
 
@@ -177,18 +175,20 @@ def test_delta_gamma_match_finite_differences(right):
         fd_gamma = (
             bsm_price(spec, up) - 2 * bsm_price(spec, mkt) + bsm_price(spec, dn)
         ) / h**2
-        assert bsm_delta(spec, mkt) == pytest.approx(fd_delta, rel=1e-6)
-        assert bsm_gamma(spec, mkt) == pytest.approx(fd_gamma, rel=1e-6)
+        assert bsm_valuation(spec, mkt)[1] == pytest.approx(fd_delta, rel=1e-6)
+        assert bsm_valuation(spec, mkt)[2] == pytest.approx(fd_gamma, rel=1e-6)
 
 
 def test_delta_identity_and_gamma_right_independence():
     mkt = MarketState(55.0, 0.04, 0.02, 0.3)
     call = euro(OptionRight.CALL, strike=50.0, maturity=0.75)
     put = euro(OptionRight.PUT, strike=50.0, maturity=0.75)
-    assert bsm_delta(call, mkt) - bsm_delta(put, mkt) == pytest.approx(
+    assert bsm_valuation(call, mkt)[1] - bsm_valuation(put, mkt)[1] == pytest.approx(
         math.exp(-0.02 * 0.75), rel=1e-12
     )
-    assert bsm_gamma(call, mkt) == pytest.approx(bsm_gamma(put, mkt), rel=1e-14)
+    assert bsm_valuation(call, mkt)[2] == pytest.approx(
+        bsm_valuation(put, mkt)[2], rel=1e-14
+    )
 
 
 def test_atm_forward_call_delta():
@@ -199,7 +199,7 @@ def test_atm_forward_call_delta():
     from scipy.special import ndtr
 
     expected = math.exp(-div * mat) * ndtr(0.5 * vol * math.sqrt(mat))
-    got = bsm_delta(euro(OptionRight.CALL, strike=strike, maturity=mat), mkt)
+    got = bsm_valuation(euro(OptionRight.CALL, strike=strike, maturity=mat), mkt)[1]
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -218,20 +218,20 @@ def test_euler_relation_european():
         if fn is call_price:
             deltas = np.array(
                 [
-                    bsm_delta(
+                    bsm_valuation(
                         euro(OptionRight.CALL, strike=strike[i], maturity=mat[i]),
                         MarketState(spot[i], rate[i], div[i], vol[i]),
-                    )
+                    )[1]
                     for i in range(len(spot))
                 ]
             )
         else:
             deltas = np.array(
                 [
-                    bsm_delta(
+                    bsm_valuation(
                         euro(OptionRight.PUT, strike=strike[i], maturity=mat[i]),
                         MarketState(spot[i], rate[i], div[i], vol[i]),
-                    )
+                    )[1]
                     for i in range(len(spot))
                 ]
             )
@@ -250,10 +250,10 @@ def test_second_derivative_identity():
         v_kk = (up - 2 * mid + dn) / h**2
         gammas = np.array(
             [
-                bsm_gamma(
+                bsm_valuation(
                     euro(OptionRight.CALL, strike=strike[i], maturity=mat[i]),
                     MarketState(spot[i], rate[i], div[i], vol[i]),
-                )
+                )[2]
                 for i in range(len(spot))
             ]
         )
@@ -333,12 +333,9 @@ def europeans(draw):
 @settings(max_examples=200, deadline=None)
 @given(europeans())
 def test_valuation_is_price_delta_gamma(contract):
+    # bsm_price is the one projection left; a Greek is an index into the tuple
     spec, mkt = contract
-    assert bsm_valuation(spec, mkt) == (
-        bsm_price(spec, mkt),
-        bsm_delta(spec, mkt),
-        bsm_gamma(spec, mkt),
-    )
+    assert bsm_valuation(spec, mkt)[0] == bsm_price(spec, mkt)
 
 
 @settings(max_examples=200, deadline=None)
@@ -377,7 +374,7 @@ def test_euler_identity_property(contract):
     # V = S delta + K delta~, with delta~ the swapped problem's delta
     spec, mkt = contract
     price, delta, _ = bsm_valuation(spec, mkt)
-    dual_delta = bsm_delta(*to_dual(spec, mkt))
+    dual_delta = bsm_valuation(*to_dual(spec, mkt))[1]
     assert mkt.spot * delta + spec.strike * dual_delta == pytest.approx(
         price, rel=1e-10
     )

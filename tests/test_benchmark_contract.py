@@ -1,0 +1,105 @@
+"""What the benchmark in ``perfbench/`` needs of the package.
+
+The benchmark's worker is read as text and parsed, never imported, so
+no bytecode lands under ``perfbench/``.  The names it uses must exist,
+and the reports it runs must print their stored texts byte for byte.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import dualpricer
+from dualpricer import cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+EXPECTED = PERFBENCH / "expected"
+
+
+def parse(name):
+    return ast.parse((PERFBENCH / name).read_text(encoding="utf-8"))
+
+
+def assigned(tree, name):
+    """The expression assigned to a module-level ``name``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return node.value
+    raise LookupError(name)
+
+
+def test_every_package_name_the_worker_reads_exists():
+    tree = parse("worker.py")
+    names = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "dp"
+    }
+    assert "OptionSpec" in names
+    assert [n for n in sorted(names) if not hasattr(dualpricer, n)] == []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("dualpricer"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), (node.module, alias.name)
+
+
+def test_every_engine_method_the_worker_calls_exists():
+    calls = set()
+    for func in ast.walk(parse("worker.py")):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        engines = {}  # local name -> engine class, from ``x = dp.Engine(...)``
+        for node in ast.walk(func):
+            if (
+                isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Attribute)
+                and node.value.func.attr in ("AnalyticEngine", "LatticeEngine")
+            ):
+                engines[node.targets[0].id] = node.value.func.attr
+        for node in ast.walk(func):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and getattr(node.func.value, "id", None) in engines
+            ):
+                calls.add((engines[node.func.value.id], node.func.attr))
+    assert calls
+    for cls_name, method in sorted(calls):
+        assert callable(getattr(getattr(dualpricer, cls_name), method, None)), (
+            cls_name,
+            method,
+        )
+
+
+def stored_commands(tmp_path):
+    """The worker's (label, argv) command list, its hedge config in tmp_path."""
+    tree = parse("worker.py")
+    consts = {
+        name: ast.literal_eval(assigned(tree, name))
+        for name in ("AMERICAN_PUT", "EUROPEAN_CALL", "HEDGE_CONFIG_TEXT")
+    }
+    config = tmp_path / "hedge.cfg"
+    config.write_text(consts.pop("HEDGE_CONFIG_TEXT"), encoding="utf-8")
+    expr = ast.Expression(assigned(tree, "COMMANDS"))
+    scope = {"__builtins__": {"range": range, "str": str}, "HEDGE_CONFIG": config}
+    return eval(compile(expr, "worker.py", "eval"), scope | consts)
+
+
+def test_benchmark_commands_print_their_stored_texts(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("DUALPRICER_SEED", raising=False)
+    commands = stored_commands(tmp_path)
+    assert sorted(label for label, _ in commands) == sorted(
+        path.stem for path in EXPECTED.glob("*.txt")
+    )
+    differ = []
+    for label, argv in commands:
+        code = cli.main(argv)
+        out = capsys.readouterr().out
+        if code != 0 or out != (EXPECTED / f"{label}.txt").read_text(encoding="utf-8"):
+            differ.append(label)
+    assert differ == []
+

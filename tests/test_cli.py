@@ -385,6 +385,8 @@ def test_hedge_collapsed_strikes_fail(capsys):
         ["--Ku=1e300", "--vol=1e300", "--spot0", "50", "--scheme", "wu-zhu"],
         ["--Ku=1e300", "--vol=1e300", "--spot0", "50", "--scheme", "wu-zhu", "--sim"],
         ["--Th=0.03", "--rate=785", "--yield=541", "--spot0=1e300", "--spotTh=104"],
+        ["--spotTh", "1"],
+        ["--sim", "--spot0", "5"],
     ],
     ids=[
         "infinite-maturity",
@@ -412,6 +414,8 @@ def test_hedge_collapsed_strikes_fail(capsys):
         "huge-vol",
         "sim-huge-vol",
         "percentage-overflow",
+        "call-worth-less-than-strike-rounding",
+        "sim-call-worth-less-than-strike-rounding",
     ],
 )
 def test_hedge_non_finite_result_fails(argv, capsys):

@@ -17,9 +17,8 @@ from dualpricer import (
     OptionSpec,
     PricingError,
     UnsupportedStyleError,
-    bsm_delta,
-    bsm_gamma,
     bsm_price,
+    bsm_valuation,
     call_price,
     delta_via_dual,
     gamma_via_dual,
@@ -98,10 +97,10 @@ def test_analytic_dual_greeks_match_closed_form():
     spec = spec_of(OptionRight.PUT, ExerciseStyle.EUROPEAN, strike=45.0, maturity=0.8)
     mkt = MarketState(52.0, 0.04, 0.015, 0.3)
     assert delta_via_dual(spec, mkt, engine) == pytest.approx(
-        bsm_delta(spec, mkt), abs=1e-10
+        bsm_valuation(spec, mkt)[1], abs=1e-10
     )
     assert gamma_via_dual(spec, mkt, engine) == pytest.approx(
-        bsm_gamma(spec, mkt), abs=1e-8
+        bsm_valuation(spec, mkt)[2], abs=1e-8
     )
 
 
@@ -177,7 +176,7 @@ def test_dual_delta_is_strike_derivative():
     ) / (2 * h)
     assert dual_delta == pytest.approx(fd, rel=1e-4)
     value = bsm_price(spec, mkt)
-    euler = mkt.spot * bsm_delta(spec, mkt) + spec.strike * dual_delta
+    euler = mkt.spot * bsm_valuation(spec, mkt)[1] + spec.strike * dual_delta
     assert euler == pytest.approx(value, rel=1e-10)
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -348,6 +349,28 @@ def test_true_errors_rejects_bad_horizon_spots(bad):
     cost, _ = net_cost(DEFAULT_HEDGE, w, 50.0)
     with pytest.raises(PricingError, match="spot at the horizon"):
         true_errors(DEFAULT_HEDGE, [w], [cost], np.array([50.0, bad, 45.0]))
+
+
+def test_hedged_call_worth_less_than_strike_rounding_is_rejected():
+    # the floor is eps K, the rounding unit of the target strike; the K = 50
+    # call is worth 4.7e-15 at horizon spot 18 and 1.2e-13 at spot 19
+    cfg = DEFAULT_HEDGE
+    w = solve_weights(cfg, HedgeScheme.BSM_DUAL)
+    floor = sys.float_info.epsilon * cfg.target_strike
+    args = (cfg.target_strike, cfg.rate, cfg.dividend_yield, cfg.vol)
+    to_horizon = cfg.target_maturity - cfg.horizon
+    assert call_price(18.0, *args, to_horizon) < floor < call_price(19.0, *args, to_horizon)
+    assert math.isfinite(gross_error(cfg, w, 19.0)[1])
+    with pytest.raises(PricingError, match="below"):
+        gross_error(cfg, w, 18.0)
+    with pytest.raises(PricingError, match="below"):
+        true_errors(cfg, [w], [0.0], np.array([50.0, 18.0]))
+    # at setup the call has its whole maturity left
+    assert call_price(16.0, *args, cfg.target_maturity) < floor
+    assert floor < call_price(17.0, *args, cfg.target_maturity)
+    assert math.isfinite(net_cost(cfg, w, 17.0)[1])
+    with pytest.raises(PricingError, match="below"):
+        net_cost(cfg, w, 16.0)
 
 
 def test_empty_portfolio_loses_the_target():

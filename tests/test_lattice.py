@@ -16,8 +16,8 @@ from dualpricer import (
     OptionRight,
     OptionSpec,
     PricingError,
-    bsm_delta,
     bsm_price,
+    bsm_valuation,
     build_lattice,
     lattice_delta,
     lattice_gamma,
@@ -139,7 +139,7 @@ def test_european_tree_delta_converges():
     for spot in (36.0, 40.0, 44.0):
         mkt = MarketState(spot, 0.06, 0.0, 0.40)
         assert lattice_delta(spec, mkt, 365) == pytest.approx(
-            bsm_delta(spec, mkt), abs=1e-3
+            bsm_valuation(spec, mkt)[1], abs=1e-3
         )
 
 
