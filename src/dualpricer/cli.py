@@ -5,9 +5,6 @@ pricing side by side), ``table`` for the canned t1-t7 reports, and
 ``hedge`` for weights, error reports, and simulation.  Exit codes: 0 on
 success, 1 on numerical or domain failures, 2 on usage errors.
 
-The ``DUALPRICER_SEED`` environment variable supplies the default seed
-wherever one is accepted; it is read on every call.
-
 ``main`` builds its parser once per process and reuses it, so in-process
 callers pay for argument parsing, not for building the parser.  Commands
 are looked up by name on every call, never held by the parser, so a
@@ -19,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 
 from . import experiment, tables
@@ -42,16 +38,6 @@ from .hedge import (
 from .simulate import SimConfig, run_hedge_sim
 
 __all__ = ["build_parser", "main"]
-
-
-def _default_seed() -> int:
-    raw = os.environ.get("DUALPRICER_SEED")
-    if raw is None:
-        return 42
-    try:
-        return int(raw)
-    except ValueError:
-        raise PricingError(f"DUALPRICER_SEED must be an integer, got {raw!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,13 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--format", choices=["table", "csv"], default="table")
     t.add_argument("--out", help="write to this path instead of stdout")
     t.add_argument("--steps", type=int, default=365, help="tree steps (t1-t3)")
-    t.add_argument(
-        "--scheme",
-        choices=["bsm-dual", "wu-zhu", "both"],
-        default="both",
-        help="hedge scheme columns (t4-t6)",
-    )
-    t.add_argument("--seed", type=int, help="simulation seed (t7)")
+    t.add_argument("--seed", type=int, default=42, help="simulation seed (t7)")
     t.add_argument("--paths", type=int, default=10_000, help="simulated paths (t7)")
 
     h = sub.add_parser("hedge", help="solve hedge weights and report errors")
@@ -109,7 +89,10 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--scheme", choices=["bsm-dual", "wu-zhu"])
     h.add_argument("--spot0", type=float, help="spot at setup")
     h.add_argument("--spotTh", dest="spot_th", type=float, help="spot at the horizon")
-    h.add_argument("--sim", action="store_true", help="simulate instead of point eval")
+    # None when absent, not False, so that a config file's sim still applies
+    h.add_argument(
+        "--sim", action="store_true", default=None, help="simulate instead of point eval"
+    )
     h.add_argument("--paths", type=int)
     h.add_argument("--mu", type=float, help="physical drift for --sim")
     h.add_argument("--seed", type=int)
@@ -131,11 +114,9 @@ def cmd_price(args) -> int:
         maturity=args.maturity,
     )
     mkt = MarketState(args.spot, args.rate, args.dividend_yield, args.vol)
-    if args.engine == "analytic":
-        engine = AnalyticEngine()
-    elif args.engine == "lattice":
-        engine = LatticeEngine(args.steps)
-    elif spec.style is ExerciseStyle.AMERICAN:
+    if args.engine == "lattice" or (
+        args.engine == "auto" and spec.style is ExerciseStyle.AMERICAN
+    ):
         engine = LatticeEngine(args.steps)
     else:
         engine = AnalyticEngine()
@@ -171,11 +152,9 @@ def cmd_table(args) -> int:
     if name in ("t1", "t2", "t3"):
         table = tables.TABLE_BUILDERS[name](steps=args.steps)
     elif name in ("t4", "t5", "t6"):
-        scheme = None if args.scheme == "both" else HedgeScheme(args.scheme)
-        table = tables.TABLE_BUILDERS[name](scheme=scheme)
+        table = tables.TABLE_BUILDERS[name]()
     else:
-        seed = args.seed if args.seed is not None else _default_seed()
-        table = tables.TABLE_BUILDERS[name](seed=seed, paths=args.paths)
+        table = tables.TABLE_BUILDERS[name](seed=args.seed, paths=args.paths)
     text = (
         tables.render_csv(table)
         if args.format == "csv"
@@ -189,28 +168,32 @@ def cmd_table(args) -> int:
     return 0
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def _pick(values: dict, key: str, flag, default, cast=float):
-    """Flag beats config file beats built-in default."""
-    if flag is not None:
-        return flag
+    """Flag beats experiment file beats built-in default.
+
+    The key is taken out of ``values`` and its value must cast even when a
+    flag overrides it, so every key left over is one that nothing reads.
+    """
+    value = default
     if key in values:
-        raw = values[key]
+        raw = values.pop(key)
         try:
-            return cast(raw)
-        except ValueError:
+            value = cast(raw)
+        except (KeyError, ValueError):
             raise PricingError(f"bad experiment value for {key!r}: {raw!r}")
-    return default
+    return value if flag is None else flag
 
 
 def cmd_hedge(args) -> int:
     values: dict[str, str] = {}
     if args.config:
-        exp = experiment.load_file(args.config)
-        if exp.command != "hedge":
-            raise PricingError(
-                f"experiment file drives command {exp.command!r}, not 'hedge'"
-            )
-        values = exp.values
+        values = experiment.load_file(args.config)
+        command = values.pop("command")
+        if command != "hedge":
+            raise PricingError(f"experiment file drives command {command!r}, not 'hedge'")
 
     d = tables.DEFAULT_HEDGE
     cfg = HedgeConfig(
@@ -229,10 +212,15 @@ def cmd_hedge(args) -> int:
     scheme = HedgeScheme(
         _pick(values, "scheme", args.scheme, "bsm-dual", cast=HedgeScheme)
     )
-    weights = solve_weights(cfg, scheme)
     spot0 = _pick(values, "spot0", args.spot0, None)
     spot_th = _pick(values, "spotTh", args.spot_th, None)
-    want_sim = args.sim or values.get("sim", "").lower() in ("1", "true", "yes")
+    want_sim = _pick(values, "sim", args.sim, False, cast=lambda raw: _BOOLEANS[raw.lower()])
+    seed = _pick(values, "seed", args.seed, 42, cast=int)
+    drift = _pick(values, "mu", args.mu, 0.04)
+    paths = _pick(values, "paths", args.paths, 10_000, cast=int)
+    if values:
+        raise PricingError(f"unknown experiment key(s): {', '.join(map(repr, values))}")
+    weights = solve_weights(cfg, scheme)
 
     # every number is computed before the first line is printed, so a
     # failing hedge prints nothing to stdout
@@ -240,18 +228,10 @@ def cmd_hedge(args) -> int:
         if spot0 is None:
             print("error: --sim needs --spot0 (or spot0 in the config)", file=sys.stderr)
             return 2
-        seed = _pick(values, "seed", args.seed, _default_seed(), cast=int)
-        sim_cfg = SimConfig(
-            spot=spot0,
-            drift=_pick(values, "mu", args.mu, 0.04),
-            paths=_pick(values, "paths", args.paths, 10_000, cast=int),
-            seed=seed,
-            hedge=cfg,
-            scheme=scheme,
-        )
+        sim_cfg = SimConfig(spot0, drift, paths, seed, cfg, scheme)
         summary = run_hedge_sim(sim_cfg)
         lines = [
-            f"simulated paths: {summary.paths} (seed {seed}, drift {sim_cfg.drift:g})",
+            f"simulated paths: {summary.paths} (seed {seed}, drift {drift:g})",
             f"MHE: {summary.mhe_pct:.2f}%  MAE: {summary.mae_pct:.2f}%  "
             f"RMSE: {summary.rmse:.3f}",
         ]
@@ -288,10 +268,7 @@ def main(argv=None) -> int:
     commands = {"price": cmd_price, "table": cmd_table, "hedge": cmd_hedge}
     try:
         return commands[args.command](args)
-    except PricingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (PricingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,8 +1,11 @@
 """Flat key-value experiment files.
 
-One experiment per file: a command name plus string-valued settings that
-the CLI treats as flag defaults.  Values stay strings until the CLI casts
-each one to the type of the flag it stands in for.
+One experiment per file: a ``command`` entry naming the CLI command it
+drives, plus settings keyed by the names of that command's flags
+(``Kd = 40`` stands for ``--Kd 40``, ``K = 50`` for ``-K 50``).  Values
+stay strings until the CLI casts each one to the type of its flag.  A key
+given twice is rejected here, and a key the command does not read is
+rejected by the command.
 
 Format, one pair per line::
 
@@ -15,30 +18,23 @@ Blank lines and lines starting with ``#`` are ignored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import PricingError
 
-__all__ = ["ExperimentConfig", "loads", "load_file"]
+__all__ = ["load_file"]
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    command: str
-    values: dict[str, str] = field(default_factory=dict)
+def load_file(path: str) -> dict[str, str]:
+    """The file's ``key -> value`` pairs, ``command`` included.
 
-    def __post_init__(self):
-        for key, value in list(self.values.items()) + [("command", self.command)]:
-            if not key or any(c.isspace() for c in key):
-                raise PricingError(f"bad experiment key: {key!r}")
-            if "\n" in value or value != value.strip():
-                raise PricingError(
-                    f"experiment value for {key!r} must be a single trimmed line"
-                )
-
-
-def loads(text: str) -> ExperimentConfig:
-    command = None
+    A file that is not UTF-8, a line that is not ``key = value``, a key that
+    is empty, holds whitespace or is repeated, and a file with no
+    ``command`` raise ``PricingError``.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise PricingError(f"experiment file {path!r} is not UTF-8: {exc}") from None
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -48,21 +44,11 @@ def loads(text: str) -> ExperimentConfig:
         if not sep:
             raise PricingError(f"experiment line {lineno} is not 'key = value': {raw!r}")
         key = key.strip()
-        value = value.strip()
-        if key == "command":
-            command = value
-        else:
-            values[key] = value
-    if command is None:
+        if not key or any(c.isspace() for c in key):
+            raise PricingError(f"bad experiment key: {key!r}")
+        if key in values:
+            raise PricingError(f"experiment key {key!r} is given twice")
+        values[key] = value.strip()
+    if "command" not in values:
         raise PricingError("experiment file is missing the 'command' entry")
-    return ExperimentConfig(command=command, values=values)
-
-
-def load_file(path: str) -> ExperimentConfig:
-    """Parse an experiment file; one that is not UTF-8 raises ``PricingError``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise PricingError(f"experiment file {path!r} is not UTF-8: {exc}") from None
-    return loads(text)
+    return values

@@ -221,17 +221,16 @@ def _hedged_call(tau: float):
     )
 
 
-def _hedge_table(name, title, lead, columns, suffix, values, scheme) -> TableData:
+def _hedge_table(name, title, lead, columns, suffix, values) -> TableData:
     """A t4-t6 table: lead columns, then a value and a percent per scheme.
 
     ``lead`` holds the (header, format) of each lead column and ``columns``
     lists its cells; ``values(weights)`` gives one scheme's (values,
     percents) for every row in one call.
     """
-    wanted = (HedgeScheme.BSM_DUAL, HedgeScheme.WU_ZHU) if scheme is None else (scheme,)
     headers = [header for header, _ in lead]
     formats = [fmt for _, fmt in lead]
-    for s in wanted:
+    for s in HedgeScheme:
         headers += [f"{_scheme_key(s)}_{suffix}", f"{_scheme_key(s)}_{suffix}_pct"]
         formats += [".3f", ".2f"]
         columns += values(solve_weights(DEFAULT_HEDGE, s))
@@ -239,7 +238,7 @@ def _hedge_table(name, title, lead, columns, suffix, values, scheme) -> TableDat
     return TableData(name, title, tuple(headers), tuple(formats), tuple(body))
 
 
-def table4(scheme: HedgeScheme | None = None) -> TableData:
+def table4() -> TableData:
     """Gross hedge error across horizon spots."""
     cfg = DEFAULT_HEDGE
     return _hedge_table(
@@ -249,11 +248,10 @@ def table4(scheme: HedgeScheme | None = None) -> TableData:
         [_HEDGE_SPOTS, _hedged_call(cfg.target_maturity - cfg.horizon)],
         "gross",
         lambda w: gross_error(cfg, w, _HEDGE_SPOTS),
-        scheme,
     )
 
 
-def table5(scheme: HedgeScheme | None = None) -> TableData:
+def table5() -> TableData:
     """Net cost of the hedge at setup across starting spots."""
     cfg = DEFAULT_HEDGE
     return _hedge_table(
@@ -263,11 +261,10 @@ def table5(scheme: HedgeScheme | None = None) -> TableData:
         [_HEDGE_SPOTS, _hedged_call(cfg.target_maturity)],
         "cost",
         lambda w: net_cost(cfg, w, _HEDGE_SPOTS),
-        scheme,
     )
 
 
-def table6(scheme: HedgeScheme | None = None) -> TableData:
+def table6() -> TableData:
     """True hedge errors for known start and horizon spots."""
     starts, horizons = np.repeat(_TRUE_ERROR_SPOTS, 3), np.tile(_TRUE_ERROR_SPOTS, 3)
 
@@ -282,7 +279,6 @@ def table6(scheme: HedgeScheme | None = None) -> TableData:
         [starts, horizons],
         "true",
         true_pair,
-        scheme,
     )
 
 

@@ -89,8 +89,7 @@ def stored_commands(tmp_path):
     return eval(compile(expr, "worker.py", "eval"), scope | consts)
 
 
-def test_benchmark_commands_print_their_stored_texts(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("DUALPRICER_SEED", raising=False)
+def test_benchmark_commands_print_their_stored_texts(tmp_path, capsys):
     commands = stored_commands(tmp_path)
     assert sorted(label for label, _ in commands) == sorted(
         path.stem for path in EXPECTED.glob("*.txt")

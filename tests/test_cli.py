@@ -14,12 +14,7 @@ from hypothesis import strategies as st
 
 from dualpricer import PricingError, cli
 from dualpricer.cli import main
-from dualpricer.experiment import ExperimentConfig, load_file, loads
-
-
-@pytest.fixture(autouse=True)
-def _clean_seed_env(monkeypatch):
-    monkeypatch.delenv("DUALPRICER_SEED", raising=False)
+from dualpricer.experiment import load_file
 
 
 def run(argv, capsys):
@@ -313,13 +308,16 @@ def test_table_text_to_stdout(capsys):
 def test_table_csv_to_file(tmp_path, capsys):
     dest = tmp_path / "gross.csv"
     rc, out, _ = run(
-        ["table", "t4", "--scheme", "wu-zhu", "--format", "csv", "--out", str(dest)],
+        ["table", "t4", "--format", "csv", "--out", str(dest)],
         capsys,
     )
     assert rc == 0
     assert out == ""
     lines = dest.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "spot_at_horizon,hedged_call,wu_zhu_gross,wu_zhu_gross_pct"
+    assert lines[0] == (
+        "spot_at_horizon,hedged_call,bsm_dual_gross,bsm_dual_gross_pct,"
+        "wu_zhu_gross,wu_zhu_gross_pct"
+    )
     assert len(lines) == 12
 
 
@@ -462,57 +460,39 @@ def test_hedge_sim_needs_spot(capsys):
     assert "--spot0" in err
 
 
-def test_seed_env_matches_flag(capsys, monkeypatch):
-    args = ["hedge", "--sim", "--spot0", "50", "--paths", "400"]
-    _, flagged, _ = run(args + ["--seed", "9"], capsys)
-    monkeypatch.setenv("DUALPRICER_SEED", "9")
-    _, from_env, _ = run(args, capsys)
-    assert flagged == from_env
-
-
-def test_bad_seed_env_is_reported(capsys, monkeypatch):
-    monkeypatch.setenv("DUALPRICER_SEED", "not-a-number")
-    rc, _, err = run(["hedge", "--sim", "--spot0", "50", "--paths", "10"], capsys)
-    assert rc == 1
-    assert "DUALPRICER_SEED" in err
-
-
 @pytest.mark.parametrize(
-    "argv,env_seed",
+    "argv",
     [
-        (["table", "t7"], "-1"),
-        (["table", "t7", "--seed", "-1"], None),
-        (["hedge", "--sim", "--spot0", "50", "--paths", "10", "--seed", "-1"], None),
+        ["table", "t7", "--seed", "-1"],
+        ["hedge", "--sim", "--spot0", "50", "--paths", "10", "--seed", "-1"],
     ],
-    ids=["env", "table", "hedge"],
+    ids=["table", "hedge"],
 )
-def test_negative_seed_is_reported(argv, env_seed, capsys, monkeypatch):
-    if env_seed is not None:
-        monkeypatch.setenv("DUALPRICER_SEED", env_seed)
+def test_negative_seed_is_reported(argv, capsys):
     rc, _, err = run(argv, capsys)
     assert rc == 1
     assert err.startswith("error:") and "seed" in err
 
 
 def test_experiment_round_trip(tmp_path):
-    cfg = ExperimentConfig("hedge", {"scheme": "wu-zhu", "Kd": "38", "spot0": "52"})
     path = write_config(tmp_path, "command = hedge\nscheme = wu-zhu\nKd = 38\nspot0 = 52\n")
-    assert load_file(path) == cfg
+    assert load_file(path) == {
+        "command": "hedge", "scheme": "wu-zhu", "Kd": "38", "spot0": "52"
+    }
 
 
-def test_experiment_parser_details():
-    text = "# comment\n\ncommand = hedge\n scheme = wu-zhu \n"
-    cfg = loads(text)
-    assert cfg.command == "hedge"
-    assert cfg.values == {"scheme": "wu-zhu"}
-    with pytest.raises(PricingError):
-        loads("command = hedge\njust-a-word\n")
-    with pytest.raises(PricingError):
-        loads("scheme = wu-zhu\n")
-    with pytest.raises(PricingError):
-        ExperimentConfig("hedge", {"bad key": "1"})
-    with pytest.raises(PricingError):
-        ExperimentConfig("hedge", {"k": "two\nlines"})
+def test_experiment_parser_details(tmp_path):
+    path = write_config(tmp_path, "# comment\n\ncommand = hedge\n scheme = wu-zhu \n")
+    assert load_file(path) == {"command": "hedge", "scheme": "wu-zhu"}
+    for text in (
+        "command = hedge\njust-a-word\n",
+        "scheme = wu-zhu\n",
+        "command = hedge\nbad key = 1\n",
+        "command = hedge\n = 1\n",
+        "command = hedge\nKd = 40\nKd = 40\n",
+    ):
+        with pytest.raises(PricingError):
+            load_file(write_config(tmp_path, text))
 
 
 def test_hedge_config_file_supplies_defaults(tmp_path, capsys):
@@ -541,10 +521,21 @@ def test_hedge_config_for_other_command_rejected(tmp_path, capsys):
 
 
 def test_hedge_config_bad_number(tmp_path, capsys):
-    path = write_config(tmp_path, "command = hedge\nKd = forty\n")
-    rc, _, err = run(["hedge", "--config", str(path)], capsys)
-    assert rc == 1
-    assert "Kd" in err
+    # each file exits 1 with nothing on stdout, naming the key it is
+    # rejected for
+    for text, key in [
+        ("Kd = forty\n", "Kd"),
+        ("spotth = 48\n", "spotth"),
+        ("Kx = 30\n", "Kx"),
+        ("spot0 = 50\nsim = maybe\n", "sim"),
+        ("spot0 = 50\nsim =\n", "sim"),
+        ("spot0 = 50\nspot0 = 50\n", "spot0"),
+        ("paths = 1e4\n", "paths"),
+    ]:
+        path = write_config(tmp_path, "command = hedge\n" + text)
+        rc, out, err = run(["hedge", "--config", str(path)], capsys)
+        assert (rc, out) == (1, ""), text
+        assert err.startswith("error:") and repr(key) in err, text
 
 
 def test_hedge_config_not_utf8(tmp_path, capsys):
@@ -571,6 +562,47 @@ def test_hedge_sim_flag_via_config(tmp_path, capsys):
     rc, out, _ = run(["hedge", "--config", str(path)], capsys)
     assert rc == 0
     assert "simulated paths: 200 (seed 3, drift 0.04)" in out
+
+
+# every experiment key with a value off its default, and the rest of the
+# command line it runs under; the last four run a short simulation
+POINT = ["--spot0", "55", "--spotTh", "45"]
+SIM = ["--sim", "--spot0", "50", "--paths", "300"]
+EXPERIMENT_KEYS = [
+    ("K", "52", POINT),
+    ("T", "0.6", POINT),
+    ("Kd", "42", POINT),
+    ("Kc", "51", POINT),
+    ("Ku", "58", POINT),
+    ("To", "0.09", POINT),
+    ("Tc", "0.2", POINT),
+    ("Th", "0.05", POINT),
+    ("vol", "0.25", POINT),
+    ("rate", "0.03", POINT),
+    ("yield", "0.02", POINT),
+    ("scheme", "wu-zhu", POINT),
+    ("spot0", "52", ["--spotTh", "45"]),
+    ("spotTh", "48", ["--spot0", "55"]),
+    ("sim", "true", ["--spot0", "50", "--paths", "300"]),
+    ("paths", "200", ["--sim", "--spot0", "50"]),
+    ("mu", "0.08", SIM),
+    ("seed", "9", SIM),
+]
+
+
+@pytest.mark.parametrize(
+    "key,value,rest", EXPERIMENT_KEYS, ids=[key for key, _, _ in EXPERIMENT_KEYS]
+)
+def test_experiment_key_stands_for_its_flag(key, value, rest, tmp_path, capsys):
+    flag = f"-{key}" if len(key) == 1 else f"--{key}"
+    flagged = [flag] if key == "sim" else [flag, value]
+    path = write_config(tmp_path, f"command = hedge\n{key} = {value}\n")
+    from_file = run(["hedge", "--config", str(path), *rest], capsys)
+    from_flag = run(["hedge", *flagged, *rest], capsys)
+    assert from_file == from_flag
+    assert from_flag[0] == 0 and from_flag[2] == ""
+    # the value is one the output shows, not the default
+    assert from_flag[1] != run(["hedge", *rest], capsys)[1]
 
 
 # --- one parser per process, commands looked up by name ------------------
@@ -621,27 +653,23 @@ def _outcome(argv):
     return rc, out.getvalue(), err.getvalue()
 
 
-def test_cached_parser_keeps_no_state_between_calls(fresh_parser_cache, monkeypatch, tmp_path):
+def test_cached_parser_keeps_no_state_between_calls(fresh_parser_cache, tmp_path):
     sim = ["hedge", "--sim", "--spot0", "50"]
     steps = [
-        (["table", "t9"], None),
-        (["table", "t4", "--out", str(tmp_path / "t4.txt"), "--scheme", "wu-zhu"], None),
-        (["table", "t4"], None),
-        (["price", "--style", "european", "--right", "call", "-S", "1e-300", "-K", "1e-300",
-          "-r", "0", "--vol", "1", "-T", "1", "--greeks", "--dual"], None),
-        (EUROPEAN_PUT, None),
-        (sim, "9"),
-        (sim, None),
-        (["hedge", "--spot0", "55", "--spotTh", "45"], None),
+        ["table", "t9"],
+        ["table", "t4", "--out", str(tmp_path / "t4.txt")],
+        ["table", "t4"],
+        ["price", "--style", "european", "--right", "call", "-S", "1e-300", "-K", "1e-300",
+         "-r", "0", "--vol", "1", "-T", "1", "--greeks", "--dual"],
+        EUROPEAN_PUT,
+        [*sim, "--seed", "9"],
+        sim,
+        ["hedge", "--spot0", "55", "--spotTh", "45"],
     ]
 
     def outcomes(fresh):
         results = []
-        for argv, seed in steps:
-            if seed is None:
-                monkeypatch.delenv("DUALPRICER_SEED", raising=False)
-            else:
-                monkeypatch.setenv("DUALPRICER_SEED", seed)
+        for argv in steps:
             if fresh:
                 cli._parser.cache_clear()
             results.append(_outcome(argv))
@@ -651,7 +679,7 @@ def test_cached_parser_keeps_no_state_between_calls(fresh_parser_cache, monkeypa
     assert cached == outcomes(fresh=True)
     assert cached[0][0] == ("exit", 2)
     written = (tmp_path / "t4.txt").read_text(encoding="utf-8")
-    assert cached[1][1] == "" and "wu_zhu_gross" in written and "bsm_dual" not in written
+    assert cached[1][1] == "" and "wu_zhu_gross" in written and "bsm_dual_gross" in written
     assert "wu_zhu_gross" in cached[2][1] and "bsm_dual_gross" in cached[2][1]
     rc, out, err = cached[3]
     assert rc == 1 and out == "" and err.startswith("error:")

@@ -86,28 +86,29 @@ def test_table3_exactness_tags():
 
 
 def test_table4_scheme_selection_and_values():
-    both = TABLE_BUILDERS["t4"]()
-    assert "bsm_dual_gross" in both.headers
-    assert "wu_zhu_gross" in both.headers
-    only = TABLE_BUILDERS["t4"](HedgeScheme.WU_ZHU)
-    assert "bsm_dual_gross" not in only.headers
-    assert len(only.headers) == 4
-    w = solve_weights(DEFAULT_HEDGE, HedgeScheme.WU_ZHU)
-    for row in only.rows:
-        e, pct = gross_error(DEFAULT_HEDGE, w, row[0])
-        assert row[2] == pytest.approx(e, rel=1e-12)
-        assert row[3] == pytest.approx(pct, rel=1e-12)
+    table = TABLE_BUILDERS["t4"]()
+    assert table.headers == (
+        "spot_at_horizon", "hedged_call",
+        "bsm_dual_gross", "bsm_dual_gross_pct", "wu_zhu_gross", "wu_zhu_gross_pct",
+    )
+    for scheme, offset in ((HedgeScheme.BSM_DUAL, 2), (HedgeScheme.WU_ZHU, 4)):
+        w = solve_weights(DEFAULT_HEDGE, scheme)
+        for row in table.rows:
+            e, pct = gross_error(DEFAULT_HEDGE, w, row[0])
+            assert row[offset] == pytest.approx(e, rel=1e-12)
+            assert row[offset + 1] == pytest.approx(pct, rel=1e-12)
 
 
 def test_table5_matches_net_cost():
-    table = TABLE_BUILDERS["t5"](HedgeScheme.BSM_DUAL)
-    w = solve_weights(DEFAULT_HEDGE, HedgeScheme.BSM_DUAL)
+    table = TABLE_BUILDERS["t5"]()
     spots = [row[0] for row in table.rows]
     assert spots == [float(s) for s in range(35, 90, 5)]
-    for row in table.rows:
-        x, pct = net_cost(DEFAULT_HEDGE, w, row[0])
-        assert row[2] == pytest.approx(x, rel=1e-12)
-        assert row[3] == pytest.approx(pct, rel=1e-12)
+    for scheme, offset in ((HedgeScheme.BSM_DUAL, 2), (HedgeScheme.WU_ZHU, 4)):
+        w = solve_weights(DEFAULT_HEDGE, scheme)
+        for row in table.rows:
+            x, pct = net_cost(DEFAULT_HEDGE, w, row[0])
+            assert row[offset] == pytest.approx(x, rel=1e-12)
+            assert row[offset + 1] == pytest.approx(pct, rel=1e-12)
 
 
 def test_table6_spot_pairs_and_values():
