@@ -5,6 +5,14 @@ pricing side by side), ``table`` for the canned t1-t7 reports, and
 ``hedge`` for weights, error reports, and simulation.  Exit codes: 0 on
 success, 1 on numerical or domain failures, 2 on usage errors.
 
+A setting that the chosen path never reads, given as a flag or as an
+experiment key, is an error and not silently dropped: ``--steps`` outside
+the tree engine and t1-t3, ``--seed``/``--paths`` outside t7 and
+``hedge --sim``, ``--mu`` without ``--sim``, and ``--spotTh`` with it.
+So the optional settings default to ``None`` here, and the path that
+reads one applies its default: the table builders, ``LatticeEngine`` and
+``cmd_hedge``.
+
 ``main`` builds its parser once per process and reuses it, so in-process
 callers pay for argument parsing, not for building the parser.  Commands
 are looked up by name on every call, never held by the parser, so a
@@ -20,12 +28,7 @@ import sys
 
 from . import experiment, tables
 from .analytic import ExerciseStyle, MarketState, OptionRight, OptionSpec
-from .duality import (
-    AnalyticEngine,
-    LatticeEngine,
-    price_via_dual,
-    valuation_via_dual,
-)
+from .duality import AnalyticEngine, LatticeEngine, from_dual_valuation, to_dual
 from .errors import PricingError
 from .hedge import (
     HedgeConfig,
@@ -56,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-q", "--yield", dest="dividend_yield", type=float, default=0.0)
     p.add_argument("--vol", type=float, required=True)
     p.add_argument("-T", "--maturity", type=float, required=True)
-    p.add_argument("--steps", type=int, default=365)
+    p.add_argument("--steps", type=int, help="tree steps (default 365)")
     p.add_argument(
         "--engine",
         choices=["auto", "analytic", "lattice"],
@@ -70,9 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("name", choices=sorted(tables.TABLE_BUILDERS))
     t.add_argument("--format", choices=["table", "csv"], default="table")
     t.add_argument("--out", help="write to this path instead of stdout")
-    t.add_argument("--steps", type=int, default=365, help="tree steps (t1-t3)")
-    t.add_argument("--seed", type=int, default=42, help="simulation seed (t7)")
-    t.add_argument("--paths", type=int, default=10_000, help="simulated paths (t7)")
+    t.add_argument("--steps", type=int, help="tree steps (t1-t3, default 365)")
+    t.add_argument("--seed", type=int, help="simulation seed (t7, default 42)")
+    t.add_argument("--paths", type=int, help="simulated paths (t7, default 10000)")
 
     h = sub.add_parser("hedge", help="solve hedge weights and report errors")
     h.add_argument("-K", "--target-strike", dest="target_strike", type=float)
@@ -106,6 +109,13 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _unread(where: str, **settings) -> None:
+    """Reject the settings given (not None) to a path that never reads them."""
+    given = [f"--{name}" for name, value in settings.items() if value is not None]
+    if given:
+        raise PricingError(f"{where} does not read {', '.join(given)}")
+
+
 def cmd_price(args) -> int:
     spec = OptionSpec(
         right=OptionRight(args.right),
@@ -117,44 +127,49 @@ def cmd_price(args) -> int:
     if args.engine == "lattice" or (
         args.engine == "auto" and spec.style is ExerciseStyle.AMERICAN
     ):
-        engine = LatticeEngine(args.steps)
+        engine = LatticeEngine() if args.steps is None else LatticeEngine(args.steps)
     else:
+        _unread("the closed-form engine", steps=args.steps)
         engine = AnalyticEngine()
 
-    # every number is computed before the first line is printed, so a
-    # failing dual leg prints nothing to stdout
+    # one engine call values the option and its swapped twin, and every
+    # number is computed before the first line is printed, so a failing
+    # dual leg prints nothing to stdout
+    pairs = [(spec, mkt), to_dual(spec, mkt)] if args.dual else [(spec, mkt)]
     if args.greeks:
-        direct, delta, gamma = engine.valuation(spec, mkt)
+        values = engine.valuations(pairs)
     else:
-        direct = engine.price(spec, mkt)
+        values = [(price,) for price in engine.prices(pairs)]
+    direct = values[0][0]
     lines = [f"direct price: {direct:.3f}"]
     if args.greeks:
-        lines += [f"direct delta: {delta:.4f}", f"direct gamma: {gamma:.4f}"]
+        lines += [f"direct delta: {values[0][1]:.4f}", f"direct gamma: {values[0][2]:.4f}"]
     if args.dual:
-        if args.greeks:
-            dual, dual_delta, dual_gamma = valuation_via_dual(spec, mkt, engine)
-        else:
-            dual = price_via_dual(spec, mkt, engine)
+        dual = from_dual_valuation(spec, mkt, values[1]) if args.greeks else values[1]
         scale = max(abs(direct), 1e-300)
         lines += [
-            f"dual price:   {dual:.3f}",
-            f"relative discrepancy: {abs(dual - direct) / scale:.2e}",
+            f"dual price:   {dual[0]:.3f}",
+            f"relative discrepancy: {abs(dual[0] - direct) / scale:.2e}",
         ]
         if args.greeks:
-            lines += [f"dual delta:   {dual_delta:.4f}", f"dual gamma:   {dual_gamma:.4f}"]
+            lines += [f"dual delta:   {dual[1]:.4f}", f"dual gamma:   {dual[2]:.4f}"]
     for line in lines:
         print(line)
     return 0
 
 
+# The settings each table reads; its builder holds their defaults.
+_TABLE_SETTINGS = {"t1": ("steps",), "t2": ("steps",), "t3": ("steps",), "t7": ("seed", "paths")}
+
+
 def cmd_table(args) -> int:
     name = args.name
-    if name in ("t1", "t2", "t3"):
-        table = tables.TABLE_BUILDERS[name](steps=args.steps)
-    elif name in ("t4", "t5", "t6"):
-        table = tables.TABLE_BUILDERS[name]()
-    else:
-        table = tables.TABLE_BUILDERS[name](seed=args.seed, paths=args.paths)
+    settings = {"steps": args.steps, "seed": args.seed, "paths": args.paths}
+    reads = _TABLE_SETTINGS.get(name, ())
+    _unread(f"table {name}", **{k: v for k, v in settings.items() if k not in reads})
+    table = tables.TABLE_BUILDERS[name](
+        **{k: v for k, v in settings.items() if v is not None}
+    )
     text = (
         tables.render_csv(table)
         if args.format == "csv"
@@ -215,11 +230,16 @@ def cmd_hedge(args) -> int:
     spot0 = _pick(values, "spot0", args.spot0, None)
     spot_th = _pick(values, "spotTh", args.spot_th, None)
     want_sim = _pick(values, "sim", args.sim, False, cast=lambda raw: _BOOLEANS[raw.lower()])
-    seed = _pick(values, "seed", args.seed, 42, cast=int)
-    drift = _pick(values, "mu", args.mu, 0.04)
-    paths = _pick(values, "paths", args.paths, 10_000, cast=int)
+    # only --sim reads these, and it applies their defaults
+    seed = _pick(values, "seed", args.seed, None, cast=int)
+    drift = _pick(values, "mu", args.mu, None)
+    paths = _pick(values, "paths", args.paths, None, cast=int)
     if values:
         raise PricingError(f"unknown experiment key(s): {', '.join(map(repr, values))}")
+    if want_sim:
+        _unread("hedge --sim", spotTh=spot_th)
+    else:
+        _unread("hedge without --sim", seed=seed, mu=drift, paths=paths)
     weights = solve_weights(cfg, scheme)
 
     # every number is computed before the first line is printed, so a
@@ -228,6 +248,9 @@ def cmd_hedge(args) -> int:
         if spot0 is None:
             print("error: --sim needs --spot0 (or spot0 in the config)", file=sys.stderr)
             return 2
+        seed = 42 if seed is None else seed
+        drift = 0.04 if drift is None else drift
+        paths = 10_000 if paths is None else paths
         sim_cfg = SimConfig(spot0, drift, paths, seed, cfg, scheme)
         summary = run_hedge_sim(sim_cfg)
         lines = [

@@ -8,8 +8,12 @@ delta and gamma into the original's, and rejects a result that leaves the
 float range.  Everything here is engine-agnostic: an engine is any object
 whose ``price`` and ``valuation`` (price, delta and gamma from one
 evaluation) take (OptionSpec, MarketState).  Both supplied engines are
-stateless; their ``delta``/``gamma``, like ``delta_via_dual`` and
-``gamma_via_dual``, index a valuation and stay only for the benchmark.
+stateless and also offer ``prices`` and ``valuations`` over a list of
+(spec, market) pairs, of which ``price`` and ``valuation`` are the
+one-pair case; the tree engine values such a list, a problem and its
+swapped twin say, in one kernel call.  Their ``delta``/``gamma``, like
+``delta_via_dual`` and ``gamma_via_dual``, index a valuation and stay only
+for the benchmark.
 """
 
 from __future__ import annotations
@@ -65,17 +69,23 @@ def to_dual(spec: OptionSpec, mkt: MarketState) -> tuple[OptionSpec, MarketState
 class AnalyticEngine:
     """Closed-form European engine; rejects American style."""
 
+    def prices(self, pairs) -> list[float]:
+        return [analytic.bsm_price(spec, mkt) for spec, mkt in pairs]
+
+    def valuations(self, pairs) -> list[tuple[float, float, float]]:
+        return [analytic.bsm_valuation(spec, mkt) for spec, mkt in pairs]
+
     def price(self, spec: OptionSpec, mkt: MarketState) -> float:
-        return analytic.bsm_price(spec, mkt)
+        return self.prices([(spec, mkt)])[0]
 
     def delta(self, spec: OptionSpec, mkt: MarketState) -> float:
-        return analytic.bsm_valuation(spec, mkt)[1]
+        return self.valuation(spec, mkt)[1]
 
     def gamma(self, spec: OptionSpec, mkt: MarketState) -> float:
-        return analytic.bsm_valuation(spec, mkt)[2]
+        return self.valuation(spec, mkt)[2]
 
     def valuation(self, spec: OptionSpec, mkt: MarketState) -> tuple[float, float, float]:
-        return analytic.bsm_valuation(spec, mkt)
+        return self.valuations([(spec, mkt)])[0]
 
     def __repr__(self):
         return "AnalyticEngine()"
@@ -83,21 +93,31 @@ class AnalyticEngine:
 
 @dataclass(frozen=True)
 class LatticeEngine:
-    """Binomial-tree engine; handles both exercise styles."""
+    """Binomial-tree engine; handles both exercise styles.
+
+    ``prices`` and ``valuations`` value their pairs in one kernel call per
+    group of trees that share up factor and style (see ``lattice``).
+    """
 
     steps: int = 365
 
+    def prices(self, pairs) -> list[float]:
+        return lattice.lattice_prices(pairs, self.steps)
+
+    def valuations(self, pairs) -> list[tuple[float, float, float]]:
+        return lattice.lattice_valuations(pairs, self.steps)
+
     def price(self, spec: OptionSpec, mkt: MarketState) -> float:
-        return lattice.lattice_price(spec, mkt, self.steps)
+        return self.prices([(spec, mkt)])[0]
 
     def delta(self, spec: OptionSpec, mkt: MarketState) -> float:
-        return lattice.lattice_valuation(spec, mkt, self.steps)[1]
+        return self.valuation(spec, mkt)[1]
 
     def gamma(self, spec: OptionSpec, mkt: MarketState) -> float:
-        return lattice.lattice_valuation(spec, mkt, self.steps)[2]
+        return self.valuation(spec, mkt)[2]
 
     def valuation(self, spec: OptionSpec, mkt: MarketState) -> tuple[float, float, float]:
-        return lattice.lattice_valuation(spec, mkt, self.steps)
+        return self.valuations([(spec, mkt)])[0]
 
 
 def price_via_dual(spec: OptionSpec, mkt: MarketState, engine) -> float:

@@ -7,19 +7,22 @@ so a valuation returns the three together.  The induction runs in the
 numpy kernel ``_crr_numpy``.
 
 ``lattice_prices`` and ``lattice_valuations`` value many (spec, market)
-pairs at one step count.  Trees that share every kernel scalar (up,
-prob_up, step discount, steps, right and style) form one group, whatever
-their spot and strike, and each group is one kernel call over the tuples
-of its spots and strikes.  Each tree gets the bits it gets alone.
-``lattice_price`` and ``lattice_valuation`` are the one-pair case.
+pairs at one step count.  Trees that share their up factor, steps and
+style form one group, whatever their spot, strike, right, up-probability
+and step discount, and each group is one kernel call over the tuples of
+those per-tree values.  The up factor depends only on vol, maturity and
+steps, so a put and the call on its swapped problem are one group, and so
+are puts that differ only in their rates.  Each tree gets the bits it gets
+alone.  ``lattice_price`` and ``lattice_valuation`` are the one-pair case.
 
 The last kernel call is memoized, keyed on its eight arguments, and the
 memo holds that call's tuple of per-tree node values.  So price, delta and
 gamma asked one after another of the same tree (directly, or of the same
-dual tree) run one induction.  The memo holds one entry: it serves only
-"the same trees again right away", and a report that values distinct
-groups never hits it.  Trees are capped at ``MAX_STEPS`` steps, because
-induction work grows with the square of the step count.
+dual tree) run one induction, and so do two reports that value the same
+trees one after the other (t1 and t2).  The memo holds one entry: it
+serves only "the same trees again right away".  Trees are capped at
+``MAX_STEPS`` steps, because induction work grows with the square of the
+step count.
 """
 
 from __future__ import annotations
@@ -111,9 +114,8 @@ def build_lattice(mkt: MarketState, maturity: float, steps: int) -> LatticeParam
 
 
 @functools.lru_cache(maxsize=1)
-def _nodes(spots, strikes, *scalars):
-    trees = _kernel.induct(spots, strikes, *scalars)
-    steps = scalars[3]
+def _nodes(spots, strikes, up, prob_ups, discounts, steps, is_calls, american):
+    trees = _kernel.induct(spots, strikes, up, prob_ups, discounts, steps, is_calls, american)
     # Greeks read the step-1 and step-2 nodes; a one-step tree has no step 2.
     used = 6 if steps >= 2 else 3
     for spot, strike, nodes in zip(spots, strikes, trees):
@@ -128,29 +130,32 @@ def _nodes(spots, strikes, *scalars):
 def _induct(pairs: Sequence[tuple[OptionSpec, MarketState]], steps: int):
     """Each pair's tree parameters and six node values, in input order.
 
-    Trees are grouped by their kernel scalars, and each group is one
+    Trees are grouped by up factor and style, and each group is one
     kernel call, made through the memo.
     """
     groups = {}
     where = []
     for spec, mkt in pairs:
         params = build_lattice(mkt, spec.maturity, steps)
-        scalars = (
-            params.up,
-            params.prob_up,
-            math.exp(-mkt.rate * params.dt),
-            steps,
-            spec.right is OptionRight.CALL,
-            spec.style is ExerciseStyle.AMERICAN,
+        key = (params.up, spec.style is ExerciseStyle.AMERICAN)
+        members = groups.setdefault(key, [])
+        where.append((params, key, len(members)))
+        members.append(
+            (
+                mkt.spot,
+                spec.strike,
+                params.prob_up,
+                math.exp(-mkt.rate * params.dt),
+                spec.right is OptionRight.CALL,
+            )
         )
-        members = groups.setdefault(scalars, [])
-        where.append((params, scalars, len(members)))
-        members.append((mkt.spot, spec.strike))
-    nodes = {
-        scalars: _nodes(*zip(*members), *scalars)
-        for scalars, members in groups.items()
-    }
-    return [(params, nodes[scalars][index]) for params, scalars, index in where]
+    nodes = {}
+    for (up, american), members in groups.items():
+        spots, strikes, prob_ups, discounts, is_calls = zip(*members)
+        nodes[up, american] = _nodes(
+            spots, strikes, up, prob_ups, discounts, steps, is_calls, american
+        )
+    return [(params, nodes[key][index]) for params, key, index in where]
 
 
 def lattice_prices(

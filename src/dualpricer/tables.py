@@ -94,8 +94,8 @@ def _with_duals(pairs):
 def table1(steps: int = 365) -> TableData:
     """American put prices next to their swapped-problem call prices.
 
-    The direct puts share every tree scalar but spot, and so do the dual
-    calls, so the ten trees take two kernel calls.
+    The puts and their dual calls share vol, maturity and so the tree's up
+    factor, so the ten trees take one kernel call.
     """
     pairs = _put_grid(0.06, 0.0)
     prices = lattice_prices(_with_duals(pairs), steps)
@@ -132,7 +132,8 @@ def table1(steps: int = 365) -> TableData:
 def table2(steps: int = 365) -> TableData:
     """Tree delta and gamma of American puts, direct and via the dual call.
 
-    Two kernel calls, as in ``table1``.
+    One kernel call over the trees of ``table1``, so right after it the
+    memo serves this table.
     """
     pairs = _put_grid(0.06, 0.0)
     trees = lattice_valuations(_with_duals(pairs), steps)
@@ -174,7 +175,8 @@ def table2(steps: int = 365) -> TableData:
 def table3(steps: int = 365) -> TableData:
     """American currency puts against the closed-form approximation.
 
-    Each domestic rate is one group of trees, so three kernel calls.
+    The fifteen trees differ only in spot and domestic rate, so they share
+    their up factor and take one kernel call.
     """
     pairs = [pair for rate in (0.0, 0.03, 0.05) for pair in _put_grid(rate, 0.06)]
     rows = []

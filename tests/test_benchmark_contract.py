@@ -7,6 +7,7 @@ and the reports it runs must print their stored texts byte for byte.
 
 import ast
 import importlib
+import types
 from pathlib import Path
 
 import dualpricer
@@ -102,3 +103,37 @@ def test_benchmark_commands_print_their_stored_texts(tmp_path, capsys):
             differ.append(label)
     assert differ == []
 
+
+
+def load_tracer():
+    """``perfbench/tracer.py``, executed from its source."""
+    path = PERFBENCH / "tracer.py"
+    module = types.ModuleType("tracer")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_traced_passes_see_a_kernel_call_in_each_tree_table(tmp_path, capsys):
+    # the benchmark's smoke run needs every per-layer metric above 0 on some
+    # workload, and only cli-reports builds t1-t3.  t1, t2 and t2-csv make
+    # the same kernel call, which the one-entry memo serves when one follows
+    # another; in the worker's order t2 follows t1, and t2-csv must not hit
+    commands = stored_commands(tmp_path)
+    for _, argv in commands:  # the worker's warm-up
+        cli.main(argv)
+    tracing = load_tracer()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install("dualpricer")
+        for number in range(2):
+            for label, argv in commands:
+                tracer.request = (number, label)
+                assert cli.main(argv) == 0, label
+            tracer.request = None
+    finally:
+        tracer.disable()
+    capsys.readouterr()
+    metrics = tracing.layer_metrics(tracer.spans, 2, len(commands))
+    calls = {name: metrics[f"kernel.calls.{name}"] for name in ("t1", "t2", "t3")}
+    assert all(count > 0 for count in calls.values()), calls

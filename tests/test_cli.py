@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualpricer import PricingError, cli
+from dualpricer import PricingError, cli, lattice
 from dualpricer.cli import main
 from dualpricer.experiment import load_file
 
@@ -157,8 +157,11 @@ def price_inputs(draw):
     rate = draw(extreme_or(-1000.0, 1000.0))
     # r = q gives a tree no drift, so only the discount bounds a large rate
     dividend_yield = draw(st.one_of(st.just(rate), extreme_or(-1000.0, 1000.0)))
+    style = draw(st.sampled_from(["european", "american"]))
+    # --steps only where the tree engine reads it: the closed form rejects it
+    steps = {"steps": draw(st.integers(1, 200))} if style == "american" else {}
     return {
-        "style": draw(st.sampled_from(["european", "american"])),
+        "style": style,
         "right": draw(st.sampled_from(["call", "put"])),
         "spot": draw(extreme_or(1.0, 200.0)),
         "strike": draw(extreme_or(1.0, 200.0)),
@@ -166,7 +169,7 @@ def price_inputs(draw):
         "yield": dividend_yield,
         "vol": draw(extreme_or(0.01, 2.0)),
         "maturity": draw(extreme_or(0.01, 5.0)),
-        "steps": draw(st.integers(1, 200)),
+        **steps,
     }
 
 
@@ -210,13 +213,16 @@ HEDGE_FLAGS = {
 
 @st.composite
 def hedge_argvs(draw):
-    flags = draw(st.sets(st.sampled_from(sorted(HEDGE_FLAGS))))
+    sim = draw(st.booleans())
+    # --mu is read only with --sim, and --spotTh only without it
+    unread = "spotTh" if sim else "mu"
+    flags = draw(st.sets(st.sampled_from(sorted(set(HEDGE_FLAGS) - {unread}))))
     argv = [
         f"{'-' if len(flag) == 1 else '--'}{flag}={draw(extreme_or(*HEDGE_FLAGS[flag]))}"
         for flag in sorted(flags)
     ]
     argv.append(f"--scheme={draw(st.sampled_from(['bsm-dual', 'wu-zhu']))}")
-    if draw(st.booleans()):
+    if sim:
         argv += ["--sim", f"--paths={draw(st.integers(1, 50))}"]
         if "spot0" not in flags:
             argv.append(f"--spot0={draw(extreme_or(1.0, 200.0))}")
@@ -538,6 +544,61 @@ def test_hedge_config_bad_number(tmp_path, capsys):
         assert err.startswith("error:") and repr(key) in err, text
 
 
+EUROPEAN_CALL = [
+    "price", "--style", "european", "--right", "call",
+    "-S", "42", "-K", "40", "-r", "0.05", "--vol", "0.3", "-T", "0.5",
+]
+
+
+@pytest.mark.parametrize(
+    "argv,unread",
+    [
+        (["hedge", "--mu", "0.08", "--paths", "5", "--seed", "3", "--spot0", "50"],
+         ["--mu", "--paths", "--seed"]),
+        (["hedge", "--sim", "--spot0", "50", "--spotTh", "48"], ["--spotTh"]),
+        (["table", "t4", "--steps", "5", "--seed", "3", "--paths", "7"],
+         ["--steps", "--seed", "--paths"]),
+        (["table", "t1", "--seed", "3"], ["--seed"]),
+        (["table", "t7", "--steps", "5", "--paths", "200"], ["--steps"]),
+        ([*EUROPEAN_CALL, "--steps", "3"], ["--steps"]),
+        ([*EUROPEAN_CALL, "--engine", "analytic", "--steps", "3", "--dual"], ["--steps"]),
+    ],
+    ids=["hedge-sim-only", "hedge-sim-spotTh", "t4", "t1-seed", "t7-steps",
+         "price-closed-form", "price-analytic"],
+)
+def test_setting_the_path_never_reads_is_rejected(argv, unread, capsys):
+    rc, out, err = run(argv, capsys)
+    assert (rc, out) == (1, "")
+    assert err.startswith("error:") and all(name in err for name in unread), err
+
+
+@pytest.mark.parametrize(
+    "text,unread",
+    [
+        ("spot0 = 50\nmu = 0.08\n", "--mu"),
+        ("spot0 = 50\nspotTh = 48\nseed = 3\n", "--seed"),
+        ("sim = yes\nspot0 = 50\nspotTh = 48\npaths = 200\n", "--spotTh"),
+    ],
+    ids=["mu", "seed", "spotTh"],
+)
+def test_experiment_key_the_path_never_reads_is_rejected(text, unread, tmp_path, capsys):
+    path = write_config(tmp_path, "command = hedge\n" + text)
+    rc, out, err = run(["hedge", "--config", str(path)], capsys)
+    assert (rc, out) == (1, "")
+    assert err.startswith("error:") and unread in err, err
+
+
+def test_settings_the_path_reads_are_accepted(capsys):
+    # the European tree reads --steps, and so does t3
+    for argv in (
+        [*EUROPEAN_CALL, "--engine", "lattice", "--steps", "30", "--dual"],
+        ["table", "t3", "--steps", "30"],
+    ):
+        rc, out, err = run(argv, capsys)
+        assert (rc, err) == (0, ""), argv
+        assert out
+
+
 def test_hedge_config_not_utf8(tmp_path, capsys):
     path = tmp_path / "run.exp"
     path.write_bytes(b"command = hedge\n\xff\xfe\x00bad\n")
@@ -702,8 +763,8 @@ def _load_tracer():
         (EUROPEAN_PUT, {}),
         (["hedge", "--spot0", "55", "--spotTh", "45"], {}),
         (["table", "t7", "--paths", "2000"], {}),
-        (["table", "t1"], {"kernel.calls.t1": 2}),
-        (["table", "t3"], {"kernel.calls.t3": 3}),
+        (["table", "t1"], {"kernel.calls.t1": 1}),
+        (["table", "t3"], {"kernel.calls.t3": 1}),
     ],
     ids=["table", "price", "hedge", "t7", "t1", "t3"],
 )
@@ -722,7 +783,9 @@ def test_tracer_sees_every_call_through_the_cached_parser(
         tracer.request = (0, "check")
         assert tracer.check_bindings(lambda: cli.main(argv)) == {}
         # one traced pass, whose spans the per-layer metrics must be able to
-        # read: they hash the kernel's arguments, so a batch must be tuples
+        # read: they hash the kernel's arguments, so a batch must be tuples.
+        # A table's trees are one kernel call, which the memo would serve
+        lattice._nodes.cache_clear()
         cli.main(argv)
     finally:
         tracer.disable()

@@ -1,6 +1,7 @@
 """Swapped-problem pricing: transform algebra, engine equality, Greeks."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from dualpricer import (
     price_via_dual,
     put_price,
     to_dual,
+    lattice,
     valuation_via_dual,
 )
 
@@ -160,6 +162,44 @@ def test_tree_duality_property(contract):
     assert abs(via_price - price) <= 1e-9 * price
     assert abs(via_delta - delta) * steps <= 1.0
     assert abs(via_gamma - gamma) * mkt.spot <= 4e-9
+
+
+def bits(values):
+    return [struct.pack("<d", v).hex() for v in values]
+
+
+@pytest.mark.parametrize(
+    "engine,style",
+    [
+        (AnalyticEngine(), ExerciseStyle.EUROPEAN),
+        (LatticeEngine(101), ExerciseStyle.EUROPEAN),
+        (LatticeEngine(101), ExerciseStyle.AMERICAN),
+    ],
+    ids=["analytic", "lattice-european", "lattice-american"],
+)
+def test_batch_methods_keep_each_pairs_bits(engine, style):
+    # a put and its dual call, a call at other rates, an at-the-money put and
+    # a put at another vol: the tree values the first four in one kernel call
+    put = spec_of(OptionRight.PUT, style)
+    pairs = [
+        (put, MarketState(36.0, 0.06, 0.0, 0.40)),
+        to_dual(put, MarketState(36.0, 0.06, 0.0, 0.40)),
+        (spec_of(OptionRight.CALL, style), MarketState(44.0, 0.03, 0.05, 0.40)),
+        (put, MarketState(40.0, 0.0, 0.06, 0.40)),
+        (put, MarketState(38.0, 0.06, 0.0, 0.30)),
+    ]
+
+    def alone(method, spec, mkt):
+        lattice._nodes.cache_clear()
+        return method(spec, mkt)
+
+    lattice._nodes.cache_clear()
+    assert bits(engine.prices(pairs)) == bits(alone(engine.price, *pair) for pair in pairs)
+    lattice._nodes.cache_clear()
+    batched = engine.valuations(pairs)
+    assert [bits(v) for v in batched] == [
+        bits(alone(engine.valuation, *pair)) for pair in pairs
+    ]
 
 
 def test_dual_delta_is_strike_derivative():

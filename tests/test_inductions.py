@@ -2,8 +2,8 @@
 
 Every call of the kernel's ``induct`` is counted, so a change that values
 the same tree twice shows up here before it shows up in a timing.  A call
-induces a batch of trees that share their scalars; the table tests count
-both the calls and the distinct trees across them.  The
+induces a batch of trees that share their up factor, steps and style; the
+table tests count both the calls and the distinct trees across them.  The
 one-entry induction memo in ``lattice`` is cleared before counting, so a
 count does not depend on which tree an earlier test induced last.
 """
@@ -50,30 +50,42 @@ def american_put():
 
 
 def trees(calls):
-    """The distinct (spot, strike, scalars) trees across kernel calls."""
+    """The distinct trees across kernel calls, each with its own scalars."""
     return {
-        (spot, strike, *args[2:])
-        for args in calls
-        for spot, strike in zip(args[0], args[1])
+        (spot, strike, up, prob_up, discount, steps, is_call, american)
+        for spots, strikes, up, prob_ups, discounts, steps, is_calls, american in calls
+        for spot, strike, prob_up, discount, is_call in zip(
+            spots, strikes, prob_ups, discounts, is_calls
+        )
     }
 
 
 def test_table2_values_each_tree_once(inductions):
     tables.table2()
-    assert len(inductions) == 2
+    assert len(inductions) == 1
     assert len(trees(inductions)) == 10
 
 
 def test_table1_values_each_tree_once(inductions):
     tables.table1()
-    assert len(inductions) == 2
+    assert len(inductions) == 1
     assert len(trees(inductions)) == 10
 
 
 def test_table3_values_each_tree_once(inductions):
     tables.table3()
-    assert len(inductions) == 3
+    assert len(inductions) == 1
     assert len(trees(inductions)) == 15
+
+
+def test_table1_then_table2_is_one_induction(inductions, capsys):
+    # both value the same five puts and five dual calls in one kernel call,
+    # so the memo serves the second
+    assert main(["table", "t1"]) == 0
+    assert main(["table", "t2"]) == 0
+    capsys.readouterr()
+    assert len(inductions) == 1
+    assert len(trees(inductions)) == 10
 
 
 def test_delta_via_dual_is_one_induction(inductions):
@@ -81,17 +93,27 @@ def test_delta_via_dual_is_one_induction(inductions):
     assert len(inductions) == 1
 
 
-def test_price_greeks_via_dual_is_two_inductions(inductions, capsys):
-    rc = main(
-        [
-            "price", "--style", "american", "--right", "put",
-            "-S", "36", "-K", "40", "-r", "0.06", "--vol", "0.4", "-T", "1",
-            "--dual", "--greeks",
-        ]
-    )
+AMERICAN_PUT_DUAL = [
+    "price", "--style", "american", "--right", "put",
+    "-S", "36", "-K", "40", "-r", "0.06", "--vol", "0.4", "-T", "1", "--dual",
+]
+
+
+def test_price_greeks_via_dual_is_one_induction(inductions, capsys):
+    # the put and its dual call share their up factor: one kernel call
+    rc = main([*AMERICAN_PUT_DUAL, "--greeks"])
     capsys.readouterr()
     assert rc == 0
-    assert len(inductions) == 2
+    assert len(inductions) == 1
+    assert len(trees(inductions)) == 2
+
+
+def test_price_via_dual_is_one_induction(inductions, capsys):
+    rc = main(AMERICAN_PUT_DUAL)
+    capsys.readouterr()
+    assert rc == 0
+    assert len(inductions) == 1
+    assert len(trees(inductions)) == 2
 
 
 @pytest.mark.parametrize(

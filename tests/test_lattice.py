@@ -174,7 +174,7 @@ def test_discount_compounding_near_float_max_prices():
 
 
 def test_numpy_kernel_single_step():
-    out = _crr_numpy.induct((40.0,), (40.0,), 1.1, 0.5, 1.0, 1, True, False)[0]
+    out = _crr_numpy.induct((40.0,), (40.0,), 1.1, (0.5,), (1.0,), 1, (True,), False)[0]
     assert out[0] == pytest.approx(0.5 * (40.0 * 1.1 - 40.0))
     assert np.isnan(out[3])
 
@@ -249,35 +249,45 @@ def chunk_edges(test):
 @example((40.0, 40.0, 1.1, 0.5, 0.99, 2, True, False))
 @chunk_edges
 def test_in_place_kernel_matches_allocating_reference(tree):
-    spot, strike, *scalars = tree
-    out = _crr_numpy.induct((spot,), (strike,), *scalars)
+    spot, strike, up, prob_up, discount, steps, is_call, american = tree
+    out = _crr_numpy.induct(
+        (spot,), (strike,), up, (prob_up,), (discount,), steps, (is_call,), american
+    )
     assert bits(out[0]) == bits(allocating_induct(*tree))
 
 
 @st.composite
 def batches(draw):
-    """1 to 8 trees that share every kernel scalar but spot and strike."""
-    _, _, *scalars = draw(trees())
+    """1 to 8 trees that share up, steps and style; each has its own spot,
+    strike (the spot, half the time), right, up-probability and step
+    discount."""
+    _, _, up, _, _, steps, _, american = draw(trees())
     size = draw(st.integers(1, 8))
-    spots = draw(st.lists(st.floats(1.0, 1000.0), min_size=size, max_size=size))
-    strikes = [
-        spot if draw(st.booleans()) else draw(st.floats(1.0, 1000.0)) for spot in spots
-    ]
-    return (tuple(spots), tuple(strikes), *scalars)
+    spots, strikes, _, prob_ups, discounts, _, is_calls, _ = zip(
+        *(draw(trees()) for _ in range(size))
+    )
+    return (spots, strikes, up, prob_ups, discounts, steps, is_calls, american)
 
 
 def batch_edges(test):
-    """Three trees at steps around the kernel's chunk edges and at 1000, and
-    the e^709 tree of ``chunk_edges`` beside an ordinary tree: its dead
-    prices overflow, and the neighbour's column must not see it."""
+    """Four trees of both rights, two of them at the money, with their own
+    up-probabilities and discounts, at steps around the kernel's chunk edges
+    and at 1000; and the e^709 tree of ``chunk_edges`` beside an ordinary
+    put: its dead prices overflow, and the neighbour's column must not see
+    it."""
     chunk = _crr_numpy._CHUNK
-    batch = ((40.0, 36.0, 44.0), (40.0, 40.0, 38.0))
+    spots, strikes = (40.0, 36.0, 44.0, 40.0), (40.0, 40.0, 38.0, 40.0)
+    prob_ups, discounts = (0.5, 0.49, 0.52, 0.5), (0.999, 1.0, 0.998, 0.9995)
     for steps in (chunk - 1, chunk + 1, 2 * chunk + 1, 1000):
         for is_call in (False, True):
             for is_american in (False, True):
-                tree = (1.01, 0.5, 0.999, steps, is_call, is_american)
-                test = example((*batch, *tree))(test)
-    overflow = ((1.0, 0.5), (1.0, 0.5), math.exp(0.709), 0.5, 0.999, 1000, True, True)
+                rights = (is_call, is_call, not is_call, not is_call)
+                batch = (spots, strikes, 1.01, prob_ups, discounts, steps, rights, is_american)
+                test = example(batch)(test)
+    overflow = (
+        (1.0, 0.5), (1.0, 0.5), math.exp(0.709), (0.5, 0.45), (0.999, 0.99), 1000,
+        (True, False), True,
+    )
     return example(overflow)(test)
 
 
@@ -285,11 +295,14 @@ def batch_edges(test):
 @given(batches())
 @batch_edges
 def test_batched_kernel_keeps_every_trees_bits(batch):
-    spots, strikes, *scalars = batch
-    out = _crr_numpy.induct(spots, strikes, *scalars)
+    spots, strikes, up, prob_ups, discounts, steps, is_calls, american = batch
+    out = _crr_numpy.induct(*batch)
     assert len(out) == len(spots)
-    for spot, strike, nodes in zip(spots, strikes, out):
-        assert bits(nodes) == bits(allocating_induct(spot, strike, *scalars))
+    for spot, strike, prob_up, discount, is_call, nodes in zip(
+        spots, strikes, prob_ups, discounts, is_calls, out
+    ):
+        alone = allocating_induct(spot, strike, up, prob_up, discount, steps, is_call, american)
+        assert bits(nodes) == bits(alone)
 
 
 def test_overflow_in_a_batch_names_its_tree():
