@@ -85,16 +85,33 @@ class OptionSpec:
         _require_finite_positive(self, ("strike", "maturity"))
 
 
-def d1_d2(spot, strike, rate, dividend_yield, vol, maturity):
+def d1_d2(spot, strike, rate, dividend_yield, vol, maturity, *, out=None, scratch=None):
     """Standard normal arguments of the closed-form price; broadcasts.
 
     d1 = [ln(S/K) + (r - q + sigma^2/2) T] / (sigma sqrt(T)), d2 = d1 - sigma sqrt(T).
+    Given ``out`` and ``scratch``, float arrays of the broadcast shape, d1 is
+    written into ``out`` and d2 into ``scratch`` by the same operations.
     """
     sig_sqrt_t = vol * np.sqrt(maturity)
-    d1 = (
-        np.log(spot / strike) + (rate - dividend_yield + 0.5 * vol**2) * maturity
-    ) / sig_sqrt_t
-    return d1, d1 - sig_sqrt_t
+    if out is None:
+        d1 = (
+            np.log(spot / strike) + (rate - dividend_yield + 0.5 * vol**2) * maturity
+        ) / sig_sqrt_t
+        return d1, d1 - sig_sqrt_t
+    d1 = np.log(np.divide(spot, strike, out=out), out=out)
+    np.add(d1, (rate - dividend_yield + 0.5 * vol**2) * maturity, out=d1)
+    np.divide(d1, sig_sqrt_t, out=d1)
+    return d1, np.subtract(d1, sig_sqrt_t, out=scratch)
+
+
+# Least d2 from which a call's N(d1) and N(d2) are taken as exactly 1.0.
+# For a > 0, scipy's ndtr(a) is 1 - erfc(a / sqrt 2) / 2.  At a = 8.5 that
+# tail is 9.5e-18, 5.9 times below 2^-54, half the spacing of the doubles
+# just below 1.0, so the difference rounds to 1.0; ndtr first returns 1.0
+# near a = 8.2924.  d1 >= d2 holds in floats too, since fl(d1 - s) <= d1
+# for s = sigma sqrt(T) > 0, so the same elements skip both.  Puts evaluate
+# ndtr(-d), which is never exactly 1.
+_ONE_AT = 8.5
 
 
 def _price(is_call, d1, d2, spot, strike, rate, dividend_yield, maturity):
@@ -114,10 +131,36 @@ def _price(is_call, d1, d2, spot, strike, rate, dividend_yield, maturity):
     ) * ndtr(-d1)
 
 
-def call_price(spot, strike, rate, dividend_yield, vol, maturity):
-    """European call value; broadcasts over array arguments."""
-    d1, d2 = d1_d2(spot, strike, rate, dividend_yield, vol, maturity)
-    return _price(True, d1, d2, spot, strike, rate, dividend_yield, maturity)
+def call_price(
+    spot, strike, rate, dividend_yield, vol, maturity, *, out=None, scratch=None
+):
+    """European call value; broadcasts over array arguments.
+
+    Given ``out`` and ``scratch``, float arrays of the broadcast shape that
+    share no memory with the arguments, the value is written into ``out``,
+    which is returned, and ``scratch`` is overwritten.  The bits are those
+    of the call without them.  On that path, ``ndtr`` is evaluated only
+    where d2 < ``_ONE_AT``; everywhere else N(d1) and N(d2) are 1.0, which
+    is what ``ndtr`` returns there.
+    """
+    d1, d2 = d1_d2(
+        spot, strike, rate, dividend_yield, vol, maturity, out=out, scratch=scratch
+    )
+    if out is None:
+        return _price(True, d1, d2, spot, strike, rate, dividend_yield, maturity)
+    # np.max is NaN if any d2 is: then every element goes through ndtr
+    if d2.size and np.max(d2) >= _ONE_AT:
+        rest = np.nonzero(d2 < _ONE_AT)
+        n1, n2 = ndtr(d1[rest]), ndtr(d2[rest])
+        d2.fill(1.0)
+        d2[rest] = n2
+    else:
+        rest, n1 = ..., ndtr(d1)
+        ndtr(d2, out=d2)
+    np.multiply(spot, np.exp(-dividend_yield * maturity), out=out)
+    out[rest] *= n1
+    np.multiply(strike * np.exp(-rate * maturity), d2, out=d2)
+    return np.subtract(out, d2, out=out)
 
 
 def put_price(spot, strike, rate, dividend_yield, vol, maturity):

@@ -232,7 +232,7 @@ def _overflow(hs) -> PricingError:
     )
 
 
-def _valued(cfg: HedgeConfig, weight_sets, spots, at_horizon: bool):
+def _valued(cfg: HedgeConfig, weight_sets, spots, at_horizon: bool, work=None):
     """Portfolio minus target for each weight set, and the target, at spots
     of any shape.
 
@@ -244,6 +244,11 @@ def _valued(cfg: HedgeConfig, weight_sets, spots, at_horizon: bool):
     finite (one min and one max when all are), every value is finite, and
     the hedged call is worth at least ``_MIN_WORTH`` of its strike at every
     spot: its price is the denominator of every error percentage.
+
+    ``work``, if given, holds float arrays of the spots' shape that the
+    values are written into instead of new arrays, with the same bits: the
+    four calls, a scratch array for ``call_price``, then at least one
+    difference per weight set.  The returned arrays are among them.
     """
     if at_horizon:
         if cfg.horizon >= min(cfg.wing_maturity, cfg.mid_maturity):
@@ -260,15 +265,31 @@ def _valued(cfg: HedgeConfig, weight_sets, spots, at_horizon: bool):
         raise PricingError(f"spot at {when} must be positive and finite, got {bad}")
     args = (cfg.rate, cfg.dividend_yield, cfg.vol)
     wing, mid = cfg.wing_maturity - now, cfg.mid_maturity - now
+    low, middle, high, target, scratch, *rows = (None,) * 5 if work is None else work
     with np.errstate(all="ignore"):  # values out of the float range raise below
-        low = call_price(spots, cfg.strike_low, *args, wing)
-        middle = call_price(spots, cfg.strike_mid, *args, mid)
-        high = call_price(spots, cfg.strike_high, *args, wing)
-        target = call_price(spots, cfg.target_strike, *args, cfg.target_maturity - now)
-        diffs = [
-            w.w_low * low + w.w_mid * middle + w.w_high * high - target
-            for w in weight_sets
-        ]
+        low = call_price(spots, cfg.strike_low, *args, wing, out=low, scratch=scratch)
+        middle = call_price(
+            spots, cfg.strike_mid, *args, mid, out=middle, scratch=scratch
+        )
+        high = call_price(
+            spots, cfg.strike_high, *args, wing, out=high, scratch=scratch
+        )
+        target = call_price(
+            spots, cfg.target_strike, *args, cfg.target_maturity - now,
+            out=target, scratch=scratch,
+        )
+        if work is None:
+            diffs = [
+                w.w_low * low + w.w_mid * middle + w.w_high * high - target
+                for w in weight_sets
+            ]
+        else:
+            diffs = rows[: len(weight_sets)]
+            for w, diff in zip(weight_sets, diffs, strict=True):
+                np.multiply(w.w_low, low, out=diff)
+                diff += np.multiply(w.w_mid, middle, out=scratch)
+                diff += np.multiply(w.w_high, high, out=scratch)
+                diff -= target
     # a target out of the float range makes its difference so too
     if not all(-math.inf < np.min(d) and np.max(d) < math.inf for d in diffs):
         raise PricingError(
@@ -285,16 +306,18 @@ def _valued(cfg: HedgeConfig, weight_sets, spots, at_horizon: bool):
     return diffs, target
 
 
-def _less_carried(cfg: HedgeConfig, eps, cost):
+def _less_carried(cfg: HedgeConfig, eps, cost, out=None):
     """``eps`` minus the setup cost compounded to the horizon, cost e^{r T_h}.
 
+    The difference is written into the array ``out`` if one is given.
     Raises ``PricingError`` when the compounding or the difference leaves
     the float range; the exponent is checked before ``math.exp``.
     """
     growth = cfg.rate * cfg.horizon
     if growth < _LOG_MAX:
         with np.errstate(over="ignore"):
-            err = eps - cost * math.exp(growth)
+            carried = cost * math.exp(growth)
+            err = eps - carried if out is None else np.subtract(eps, carried, out=out)
         if np.all(np.isfinite(err)):
             return err
     raise PricingError(
@@ -339,7 +362,7 @@ def net_cost(cfg: HedgeConfig, w: HedgeWeights, spot_at_start):
     return (diff, *_percentages(target, diff))
 
 
-def true_errors(cfg: HedgeConfig, weight_sets, costs, spots_at_horizon):
+def true_errors(cfg: HedgeConfig, weight_sets, costs, spots_at_horizon, work=None):
     """True errors of several weight sets at the same horizon spots.
 
     ``costs`` holds each set's net cost at setup, as ``net_cost`` gives
@@ -348,10 +371,16 @@ def true_errors(cfg: HedgeConfig, weight_sets, costs, spots_at_horizon):
     set, hedged-call prices at the horizon), all shaped like the spots;
     the prices are the percentage denominator.  The spots are valued once
     for all sets, through ``_valued``, and raise ``PricingError`` as
-    there; errors out of the float range raise too.
+    there; errors out of the float range raise too.  ``work``, if given,
+    is ``5 + len(weight_sets)`` or more float arrays of the spots' shape
+    that the run writes into instead of allocating; see ``_valued``.
     """
-    diffs, target = _valued(cfg, weight_sets, spots_at_horizon, True)
-    return [_less_carried(cfg, d, c) for d, c in zip(diffs, costs)], target
+    diffs, target = _valued(cfg, weight_sets, spots_at_horizon, True, work)
+    errors = [
+        _less_carried(cfg, d, c, None if work is None else d)
+        for d, c in zip(diffs, costs)
+    ]
+    return errors, target
 
 
 def true_error(

@@ -15,7 +15,9 @@ A run walks numpy's pairwise-summation tree over its paths (see
 draws, moves, values and sums that leaf alone; the leaf sums are added
 back up the tree in numpy's order.  The summaries are therefore the bits
 ``np.mean`` gives over full-length arrays, while peak memory stays
-bounded by one leaf whatever the path count.  Runs are capped at
+bounded by one leaf whatever the path count.  The leaf's arrays are
+allocated once per run and every step writes into them, so the heap is
+not trimmed and faulted back in between leaves.  Runs are capped at
 ``MAX_PATHS`` paths.  A summary out of the float range raises
 ``PricingError``, checked on its three values, not per path.
 """
@@ -80,9 +82,15 @@ class SimSummary:
     paths: int
 
 
-def gbm_terminal(spot, drift, vol, horizon, z):
-    """Lognormal terminal price S exp((mu - sigma^2/2) h + sigma sqrt(h) z)."""
-    return spot * np.exp((drift - 0.5 * vol**2) * horizon + vol * np.sqrt(horizon) * z)
+def gbm_terminal(spot, drift, vol, horizon, z, *, out=None):
+    """Lognormal terminal price S exp((mu - sigma^2/2) h + sigma sqrt(h) z).
+
+    Given ``out``, a float array of the draws' shape, the prices are
+    written into it and it is returned.
+    """
+    moved = np.multiply(vol * np.sqrt(horizon), z, out=out)
+    moved = np.add((drift - 0.5 * vol**2) * horizon, moved, out=out)
+    return np.multiply(spot, np.exp(moved, out=out), out=out)
 
 
 def _philox(seed: int) -> np.random.Generator:
@@ -91,7 +99,7 @@ def _philox(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def normal_draws(source, count: int) -> np.ndarray:
+def normal_draws(source, count: int, *, out=None) -> np.ndarray:
     """Deterministic standard-normal draws from a seed or a generator.
 
     ``source`` is a non-negative seed, which starts a Philox stream, or a
@@ -99,12 +107,13 @@ def normal_draws(source, count: int) -> np.ndarray:
     taken in pieces from one generator are the bits of one call for their
     total count.  Uniforms are taken as k / 2^53 with k in [1, 2^53), which
     keeps the inverse CDF finite on both tails.  The count must be in
-    [1, ``MAX_PATHS``].
+    [1, ``MAX_PATHS``].  Given ``out``, a float array of that count, the
+    draws are written into it and it is returned.
     """
     _require_paths(count)
     rng = source if isinstance(source, np.random.Generator) else _philox(source)
-    uniforms = rng.integers(1, 1 << 53, size=count) / float(1 << 53)
-    return ndtri(uniforms)
+    uniforms = np.divide(rng.integers(1, 1 << 53, size=count), float(1 << 53), out=out)
+    return ndtri(uniforms, out=out)
 
 
 def _tree_sums(leaf_sums, count: int) -> list:
@@ -120,16 +129,18 @@ def _tree_sums(leaf_sums, count: int) -> list:
     the tree.  Each sum therefore has the bits ``np.add.reduce`` gives over
     the whole index range, and only one leaf is ever alive.
     """
+    return [0.0 + total for total in _tree(leaf_sums, 0, count)]
 
-    def tree(start, count):
-        if count <= _BLOCK:
-            return leaf_sums(start, count)
-        half = count // 2
-        half -= half % 8
-        left = tree(start, half)
-        return [a + b for a, b in zip(left, tree(start + half, count - half))]
 
-    return [0.0 + total for total in tree(0, count)]
+def _tree(leaf_sums, start, count):
+    # module-level, so that no closure refers to itself and keeps
+    # ``leaf_sums`` alive until the cyclic garbage collector runs
+    if count <= _BLOCK:
+        return leaf_sums(start, count)
+    half = count // 2
+    half -= half % 8
+    left = _tree(leaf_sums, start, half)
+    return [a + b for a, b in zip(left, _tree(leaf_sums, start + half, count - half))]
 
 
 def run_hedge_sim(cfg: SimConfig, draws=None) -> SimSummary:
@@ -163,6 +174,8 @@ def _run(cfgs, draws) -> tuple:
     ``gbm_terminal``, values them once with ``true_errors`` for the group's
     schemes and sums the ratios of error to hedged-call price, their
     absolute values and the squared errors, which ``_tree_sums`` adds up.
+    Every step writes into one block of leaf-sized rows allocated for the
+    run, so no leaf allocates or frees its working set.
     Private, so that a traced run charges its time to the public entry.
     """
     cfg = cfgs[0]
@@ -183,16 +196,25 @@ def _run(cfgs, draws) -> tuple:
         weight_sets.append(weights[c.scheme])
         costs.append(net_cost(hedge, weights[c.scheme], c.spot)[0])
 
+    # rows: the draws, the spots, then the valuation's (see hedge._valued)
+    sets = max(len(weight_sets) for _, weight_sets, _ in groups.values())
+    work = np.empty((7 + sets, min(cfg.paths, _BLOCK)))
+
     def leaf_sums(start, count):
-        leaf = normal_draws(rng, count) if draws is None else z[start : start + count]
+        drawn, spots, *valuation = work[:, :count]
+        if draws is None:
+            leaf = normal_draws(rng, count, out=drawn)
+        else:
+            leaf = z[start : start + count]
         sums = []
         for (spot, drift), (_, weight_sets, costs) in groups.items():
             with np.errstate(over="ignore"):  # true_errors rejects the inf spots
-                spots = gbm_terminal(spot, drift, hedge.vol, hedge.horizon, leaf)
-            errors, target = true_errors(hedge, weight_sets, costs, spots)
+                gbm_terminal(spot, drift, hedge.vol, hedge.horizon, leaf, out=spots)
+            errors, target = true_errors(hedge, weight_sets, costs, spots, valuation)
             with np.errstate(all="ignore"):  # a summary out of the float range raises below
                 for err in errors:
-                    ratios = np.divide(err, target)
+                    # the spots are valued, so their row takes the ratios
+                    ratios = np.divide(err, target, out=spots)
                     sums += [
                         float(np.add.reduce(ratios)),
                         float(np.add.reduce(np.abs(ratios, out=ratios))),

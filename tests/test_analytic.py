@@ -25,6 +25,7 @@ from dualpricer import (
     to_dual,
     valuation_via_dual,
 )
+from dualpricer.analytic import _ONE_AT
 
 
 def euro(right, strike=40.0, maturity=1.0):
@@ -314,6 +315,51 @@ def test_prices_match_reference_bit_for_bit(rows):
     columns = [np.array(column) for column in zip(*rows)]
     assert bits(call_price(*columns)) == bits(reference_call_price(*columns))
     assert bits(put_price(*columns)) == bits(reference_put_price(*columns))
+    out, scratch = np.empty(len(rows)), np.empty(len(rows))
+    buffered = call_price(*columns, out=out, scratch=scratch)
+    assert bits(buffered) == bits(reference_call_price(*columns))
+
+
+def test_ndtr_is_exactly_one_from_the_skip_threshold():
+    # the buffered call_price takes N(d) = 1.0 without evaluating ndtr
+    # wherever d >= _ONE_AT
+    rng = np.random.default_rng(2019)
+    for d in (
+        np.linspace(_ONE_AT, 40.0, 1_000_001),
+        10.0 ** rng.uniform(math.log10(_ONE_AT), 307.0, 1_000_000),
+        np.array([1e307, math.inf]),
+    ):
+        assert np.all(ndtr(d) == 1.0)
+
+
+WING_TENOR = 5.0 / 365.0
+BUFFERED_CASES = {
+    # the low-strike call at the hedge's wing tenor: d2 straddles _ONE_AT
+    "straddles": (np.linspace(30.0, 70.0, 4001), 40.0, WING_TENOR),
+    "below": (np.linspace(30.0, 70.0, 4001), 50.0, 0.5),
+    "extremes": (np.array([1e-300, 1e300, 1e-300, 45.0]), 40.0, WING_TENOR),
+}
+
+
+@pytest.mark.parametrize("case", BUFFERED_CASES)
+def test_buffered_call_price_keeps_the_bits(case):
+    spots, strike, maturity = BUFFERED_CASES[case]
+    args = (spots, strike, 0.05, 0.01, 0.2, maturity)
+    d2 = d1_d2(*args)[1]
+    assert (np.min(d2) < _ONE_AT <= np.max(d2)) == (case != "below")
+    kept = spots.copy()
+    out, scratch = np.empty_like(spots), np.empty_like(spots)
+    assert call_price(*args, out=out, scratch=scratch) is out
+    assert bits(out) == bits(call_price(*args))
+    assert spots.tobytes() == kept.tobytes()
+
+
+def test_buffered_call_price_keeps_a_nan():
+    spots = np.array([45.0, 60.0, math.nan, 70.0])  # d2 > _ONE_AT at 60 and 70
+    args = (spots, 40.0, 0.05, 0.01, 0.2, WING_TENOR)
+    out = call_price(*args, out=np.empty(4), scratch=np.empty(4))
+    assert math.isnan(out[2])
+    assert bits(out) == bits(call_price(*args))
 
 
 @st.composite

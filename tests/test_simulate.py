@@ -1,9 +1,11 @@
 """Monte-Carlo hedge-error runs: draws, terminal prices, summaries."""
 
 import dataclasses
+import gc
 import math
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -302,6 +304,24 @@ def test_leaf_tree_sum_is_numpys_sum(count, seed):
     )
 
 
+def test_tree_sum_leaves_no_reference_cycle():
+    # a cycle through leaf_sums would keep a run's leaf buffers alive
+    # until the cyclic garbage collector runs
+    class Leaves:
+        def __call__(self, start, count):
+            return [float(count)]
+
+    leaves = Leaves()
+    alive = weakref.ref(leaves)
+    gc.disable()
+    try:
+        assert _tree_sums(leaves, 3 * _BLOCK + 5) == [3.0 * _BLOCK + 5]
+        del leaves
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
 def run_peak_bytes(paths):
     tracemalloc.start()
     try:
@@ -358,13 +378,13 @@ def test_one_draw_one_solve_one_setup_cost_per_run(with_draws, monkeypatch):
     original_draws = simulate.normal_draws
     original_call_price = hedge.call_price
 
-    def sized_draws(source, count):
+    def sized_draws(source, count, **kwargs):
         drawn.append(count)
-        return original_draws(source, count)
+        return original_draws(source, count, **kwargs)
 
-    def sized_call_price(spot, *args):
+    def sized_call_price(spot, *args, **kwargs):
         elements.append(np.size(spot))
-        return original_call_price(spot, *args)
+        return original_call_price(spot, *args, **kwargs)
 
     monkeypatch.setattr(simulate, "normal_draws", sized_draws)
     monkeypatch.setattr(hedge, "call_price", sized_call_price)

@@ -149,9 +149,9 @@ def test_table7_values_each_row_horizon_once_for_both_schemes(monkeypatch):
     elements = []
     original_call_price = hedge.call_price
 
-    def sized_call_price(spot, *args):
+    def sized_call_price(spot, *args, **kwargs):
         elements.append(np.size(spot))
-        return original_call_price(spot, *args)
+        return original_call_price(spot, *args, **kwargs)
 
     monkeypatch.setattr(hedge, "call_price", sized_call_price)
     paths = 300
