@@ -136,12 +136,12 @@ def call_price(
 ):
     """European call value; broadcasts over array arguments.
 
-    Given ``out`` and ``scratch``, float arrays of the broadcast shape that
-    share no memory with the arguments, the value is written into ``out``,
-    which is returned, and ``scratch`` is overwritten.  The bits are those
-    of the call without them.  On that path, ``ndtr`` is evaluated only
-    where d2 < ``_ONE_AT``; everywhere else N(d1) and N(d2) are 1.0, which
-    is what ``ndtr`` returns there.
+    Given ``out`` and ``scratch``, float arrays of the broadcast shape, ()
+    included, that share no memory with the arguments, the value is
+    written into ``out``, which is returned, and ``scratch`` is
+    overwritten.  The bits are those of the call without them.  On that
+    path, ``ndtr`` is evaluated only where d2 < ``_ONE_AT``; everywhere
+    else N(d1) and N(d2) are 1.0, which is what ``ndtr`` returns there.
     """
     d1, d2 = d1_d2(
         spot, strike, rate, dividend_yield, vol, maturity, out=out, scratch=scratch
@@ -150,15 +150,17 @@ def call_price(
         return _price(True, d1, d2, spot, strike, rate, dividend_yield, maturity)
     # np.max is NaN if any d2 is: then every element goes through ndtr
     if d2.size and np.max(d2) >= _ONE_AT:
-        rest = np.nonzero(d2 < _ONE_AT)
-        n1, n2 = ndtr(d1[rest]), ndtr(d2[rest])
-        d2.fill(1.0)
-        d2[rest] = n2
+        # nonzero takes no 0-d array, so index views of at least one axis
+        view1, view2, view = np.atleast_1d(d1, d2, out)
+        rest = np.nonzero(view2 < _ONE_AT)
+        n1, n2 = ndtr(view1[rest]), ndtr(view2[rest])
+        view2.fill(1.0)
+        view2[rest] = n2
     else:
-        rest, n1 = ..., ndtr(d1)
+        view, rest, n1 = out, ..., ndtr(d1)
         ndtr(d2, out=d2)
     np.multiply(spot, np.exp(-dividend_yield * maturity), out=out)
-    out[rest] *= n1
+    view[rest] *= n1
     np.multiply(strike * np.exp(-rate * maturity), d2, out=d2)
     return np.subtract(out, d2, out=out)
 

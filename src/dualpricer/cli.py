@@ -259,7 +259,7 @@ def cmd_hedge(args) -> int:
             f"RMSE: {summary.rmse:.3f}",
         ]
     elif spot0 is not None and spot_th is not None:
-        report = true_error(cfg, weights, spot0, spot_th)
+        (report,) = true_error(cfg, (weights,), spot0, spot_th)
         lines = [
             f"gross error at horizon (spot {spot_th:g}): "
             f"{report.gross_error:.3f} ({report.gross_error_pct:.2f}%)",
@@ -268,10 +268,10 @@ def cmd_hedge(args) -> int:
             f"true error: {report.true_error:.3f} ({report.true_error_pct:.2f}%)",
         ]
     elif spot_th is not None:
-        eps, pct = gross_error(cfg, weights, spot_th)
+        ((eps, pct),), _ = gross_error(cfg, (weights,), spot_th)
         lines = [f"gross error at horizon (spot {spot_th:g}): {eps:.3f} ({pct:.2f}%)"]
     elif spot0 is not None:
-        cost, pct = net_cost(cfg, weights, spot0)
+        ((cost, pct),), _ = net_cost(cfg, (weights,), spot0)
         lines = [f"net cost at setup (spot {spot0:g}): {cost:.3f} ({pct:.2f}%)"]
     else:
         lines = []

@@ -10,8 +10,9 @@ moneyness variable h = (K_x - K) / (sigma K sqrt(T - T_h)).
 Two weighting schemes are supported: the full system ("bsm-dual"), and the
 zero-rates variant ("wu-zhu") that additionally moves the unwind time to
 the wing expiry, which is the published special case it degenerates to.
-Every report values its spots, of any shape, through one checked valuation
-and gives percentages of the target call's price at the relevant time.
+Every report takes a sequence of weight sets, values its spots, of any
+shape, once for all of them through one checked valuation, and gives
+percentages of the target call's price at the relevant time.
 """
 
 from __future__ import annotations
@@ -245,10 +246,10 @@ def _valued(cfg: HedgeConfig, weight_sets, spots, at_horizon: bool, work=None):
     the hedged call is worth at least ``_MIN_WORTH`` of its strike at every
     spot: its price is the denominator of every error percentage.
 
-    ``work``, if given, holds float arrays of the spots' shape that the
-    values are written into instead of new arrays, with the same bits: the
-    four calls, a scratch array for ``call_price``, then at least one
-    difference per weight set.  The returned arrays are among them.
+    The values are written into ``work``, float arrays of the spots' shape:
+    the four calls, a scratch array for ``call_price``, then at least one
+    difference per weight set.  Without it, the calls are allocated by
+    ``call_price`` and each difference gets a new array.
     """
     if at_horizon:
         if cfg.horizon >= min(cfg.wing_maturity, cfg.mid_maturity):
@@ -259,44 +260,38 @@ def _valued(cfg: HedgeConfig, weight_sets, spots, at_horizon: bool, work=None):
         when, now = "the horizon", cfg.horizon
     else:
         when, now = "setup", 0.0
-    if not (np.min(spots) > 0 and np.max(spots) < math.inf):
-        spots = np.asarray(spots)
+    spots = np.asarray(spots)[()]  # a 0-d spot as a scalar, which prices faster
+    if not (spots.min() > 0 and spots.max() < math.inf):
         bad = spots[~((spots > 0) & (spots < math.inf))].flat[0]
         raise PricingError(f"spot at {when} must be positive and finite, got {bad}")
+    if work is None:  # call_price and np.multiply allocate in place of None
+        work = [None] * 5 + [np.empty(spots.shape) for _ in weight_sets]
+    low, middle, high, target, scratch, *rows = work
     args = (cfg.rate, cfg.dividend_yield, cfg.vol)
     wing, mid = cfg.wing_maturity - now, cfg.mid_maturity - now
-    low, middle, high, target, scratch, *rows = (None,) * 5 if work is None else work
+    diffs = rows[: len(weight_sets)]
     with np.errstate(all="ignore"):  # values out of the float range raise below
-        low = call_price(spots, cfg.strike_low, *args, wing, out=low, scratch=scratch)
-        middle = call_price(
-            spots, cfg.strike_mid, *args, mid, out=middle, scratch=scratch
-        )
-        high = call_price(
-            spots, cfg.strike_high, *args, wing, out=high, scratch=scratch
-        )
-        target = call_price(
-            spots, cfg.target_strike, *args, cfg.target_maturity - now,
-            out=target, scratch=scratch,
-        )
-        if work is None:
-            diffs = [
-                w.w_low * low + w.w_mid * middle + w.w_high * high - target
-                for w in weight_sets
-            ]
-        else:
-            diffs = rows[: len(weight_sets)]
-            for w, diff in zip(weight_sets, diffs, strict=True):
-                np.multiply(w.w_low, low, out=diff)
-                diff += np.multiply(w.w_mid, middle, out=scratch)
-                diff += np.multiply(w.w_high, high, out=scratch)
-                diff -= target
+        low, middle, high, target = [
+            call_price(spots, strike, *args, maturity, out=out, scratch=scratch)
+            for out, strike, maturity in (
+                (low, cfg.strike_low, wing),
+                (middle, cfg.strike_mid, mid),
+                (high, cfg.strike_high, wing),
+                (target, cfg.target_strike, cfg.target_maturity - now),
+            )
+        ]
+        for w, diff in zip(weight_sets, diffs, strict=True):
+            np.multiply(w.w_low, low, out=diff)
+            diff += np.multiply(w.w_mid, middle, out=scratch)
+            diff += np.multiply(w.w_high, high, out=scratch)
+            diff -= target
     # a target out of the float range makes its difference so too
-    if not all(-math.inf < np.min(d) and np.max(d) < math.inf for d in diffs):
+    if not all(-math.inf < d.min() and d.max() < math.inf for d in diffs):
         raise PricingError(
             f"hedge values at {when} leave the float range: vol {cfg.vol:g}, "
             f"rate {cfg.rate:g}, yield {cfg.dividend_yield:g}"
         )
-    worth = np.min(target)
+    worth = target.min()
     floor = _MIN_WORTH * cfg.target_strike
     if not worth >= floor:
         raise PricingError(
@@ -306,19 +301,18 @@ def _valued(cfg: HedgeConfig, weight_sets, spots, at_horizon: bool, work=None):
     return diffs, target
 
 
-def _less_carried(cfg: HedgeConfig, eps, cost, out=None):
+def _less_carried(cfg: HedgeConfig, eps, cost, out):
     """``eps`` minus the setup cost compounded to the horizon, cost e^{r T_h}.
 
-    The difference is written into the array ``out`` if one is given.
-    Raises ``PricingError`` when the compounding or the difference leaves
-    the float range; the exponent is checked before ``math.exp``.
+    The difference is written into the array ``out``.  Raises
+    ``PricingError`` when the compounding or the difference leaves the
+    float range; the exponent is checked before ``math.exp``.
     """
     growth = cfg.rate * cfg.horizon
     if growth < _LOG_MAX:
         with np.errstate(over="ignore"):
-            carried = cost * math.exp(growth)
-            err = eps - carried if out is None else np.subtract(eps, carried, out=out)
-        if np.all(np.isfinite(err)):
+            err = np.subtract(eps, cost * math.exp(growth), out=out)
+        if np.isfinite(err).all():
             return err
     raise PricingError(
         f"setup cost compounded to the horizon at rate {cfg.rate:g} leaves "
@@ -334,32 +328,35 @@ def _percentages(target, *amounts):
     """
     with np.errstate(over="ignore"):
         shares = [100.0 * amount / target for amount in amounts]
-    if not all(np.all(np.isfinite(share)) for share in shares):
+    if not all(np.isfinite(share).all() for share in shares):
         raise PricingError(
-            f"hedged call is worth {np.min(target):.3g}: its percentages "
+            f"hedged call is worth {target.min():.3g}: its percentages "
             "leave the float range"
         )
     return shares
 
 
-def gross_error(cfg: HedgeConfig, w: HedgeWeights, spot_at_horizon):
+def gross_error(cfg: HedgeConfig, weight_sets, spot_at_horizon):
     """Portfolio minus target at the horizon, in currency and in percent.
 
-    Broadcasts over the spots like ``call_price``; see ``_valued`` for the
-    spots and values that raise ``PricingError``.
+    Returns (one (value, percent) pair per weight set, hedged-call prices
+    at the horizon), all shaped like the spots; the prices are the
+    percentage denominator.  The spots, of any shape, are valued once for
+    all sets; see ``_valued`` for the spots and values that raise
+    ``PricingError``.
     """
-    (diff,), target = _valued(cfg, (w,), spot_at_horizon, True)
-    return (diff, *_percentages(target, diff))
+    diffs, target = _valued(cfg, weight_sets, spot_at_horizon, True)
+    return list(zip(diffs, _percentages(target, *diffs))), target
 
 
-def net_cost(cfg: HedgeConfig, w: HedgeWeights, spot_at_start):
+def net_cost(cfg: HedgeConfig, weight_sets, spot_at_start):
     """Portfolio minus target at setup, in currency and in percent.
 
-    Broadcasts over the spots like ``call_price``; see ``_valued`` for the
-    spots and values that raise ``PricingError``.
+    Returns (one (value, percent) pair per weight set, hedged-call prices
+    at setup), all shaped like the spots, as ``gross_error`` does.
     """
-    (diff,), target = _valued(cfg, (w,), spot_at_start, False)
-    return (diff, *_percentages(target, diff))
+    diffs, target = _valued(cfg, weight_sets, spot_at_start, False)
+    return list(zip(diffs, _percentages(target, *diffs))), target
 
 
 def true_errors(cfg: HedgeConfig, weight_sets, costs, spots_at_horizon, work=None):
@@ -376,27 +373,25 @@ def true_errors(cfg: HedgeConfig, weight_sets, costs, spots_at_horizon, work=Non
     that the run writes into instead of allocating; see ``_valued``.
     """
     diffs, target = _valued(cfg, weight_sets, spots_at_horizon, True, work)
-    errors = [
-        _less_carried(cfg, d, c, None if work is None else d)
-        for d, c in zip(diffs, costs)
-    ]
-    return errors, target
+    return [_less_carried(cfg, d, c, d) for d, c in zip(diffs, costs)], target
 
 
-def true_error(
-    cfg: HedgeConfig, w: HedgeWeights, spot_at_0, spot_at_Th
-) -> HedgeReport:
-    """Full error report for known setup and horizon spots.
+def true_error(cfg: HedgeConfig, weight_sets, spot_at_0, spot_at_Th) -> list:
+    """One full error report per weight set for known setup and horizon spots.
 
     Broadcasts like ``call_price``: the gross fields are shaped like the
     horizon spots, the net-cost fields like the setup spots, and the true
-    fields like both together.  The horizon spots are valued once; their
-    hedged-call prices are the denominator of both the gross and the true
-    error percentages.  Raises ``PricingError`` as ``gross_error``,
-    ``net_cost`` and ``true_errors`` do.
+    fields like both together.  Each spot set is valued once for all
+    weight sets; the hedged-call prices at the horizon are the denominator
+    of both the gross and the true error percentages.  Raises
+    ``PricingError`` as ``gross_error``, ``net_cost`` and ``true_errors``
+    do.
     """
-    (eps,), target = _valued(cfg, (w,), spot_at_Th, True)
-    cost, cost_pct = net_cost(cfg, w, spot_at_0)
-    err = _less_carried(cfg, eps, cost)
-    eps_pct, err_pct = _percentages(target, eps, err)
-    return HedgeReport(eps, eps_pct, cost, cost_pct, err, err_pct)
+    gross, target = _valued(cfg, weight_sets, spot_at_Th, True)
+    costs, _ = net_cost(cfg, weight_sets, spot_at_0)
+    reports = []
+    for eps, (cost, cost_pct) in zip(gross, costs):
+        err = _less_carried(cfg, eps, cost, np.empty(np.broadcast(eps, cost).shape))
+        eps_pct, err_pct = _percentages(target, eps, err)
+        reports.append(HedgeReport(eps, eps_pct, cost, cost_pct, err, err_pct))
+    return reports

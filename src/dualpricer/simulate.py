@@ -159,7 +159,8 @@ def run_hedge_sims(cfgs, draws=None) -> tuple:
     """``run_hedge_sim`` for runs that share seed, paths and hedge.
 
     The runs may differ in spot, drift and scheme; they share one set of
-    draws, and runs with the same spot and drift one horizon valuation.
+    draws, and runs with the same spot and drift one setup and one horizon
+    valuation.
     Each summary, in input order, has the bits of its own run.  Runs that
     differ in seed, paths or hedge raise ``ValueError``.
     """
@@ -169,11 +170,13 @@ def run_hedge_sims(cfgs, draws=None) -> tuple:
 def _run(cfgs, draws) -> tuple:
     """The leaf loop behind ``run_hedge_sim`` and ``run_hedge_sims``.
 
-    Each leaf draws its normals once, from the run's one Philox stream or
-    from ``draws``.  Per distinct (spot, drift) it moves them with
-    ``gbm_terminal``, values them once with ``true_errors`` for the group's
-    schemes and sums the ratios of error to hedged-call price, their
-    absolute values and the squared errors, which ``_tree_sums`` adds up.
+    Each distinct (spot, drift) values its setup spot once, with
+    ``net_cost`` for all its schemes.  Each leaf draws its normals once,
+    from the run's one Philox stream or from ``draws``.  Per distinct
+    (spot, drift) it moves them with ``gbm_terminal``, values them once
+    with ``true_errors`` for the group's schemes and sums the ratios of
+    error to hedged-call price, their absolute values and the squared
+    errors, which ``_tree_sums`` adds up.
     Every step writes into one block of leaf-sized rows allocated for the
     run, so no leaf allocates or frees its working set.
     Private, so that a traced run charges its time to the public entry.
@@ -191,10 +194,11 @@ def _run(cfgs, draws) -> tuple:
     weights = {s: solve_weights(hedge, s) for s in dict.fromkeys(c.scheme for c in cfgs)}
     groups = {}  # (spot, drift) -> (indices into cfgs, weight sets, setup costs)
     for k, c in enumerate(cfgs):
-        ks, weight_sets, costs = groups.setdefault((c.spot, c.drift), ([], [], []))
+        ks, weight_sets, _ = groups.setdefault((c.spot, c.drift), ([], [], []))
         ks.append(k)
         weight_sets.append(weights[c.scheme])
-        costs.append(net_cost(hedge, weights[c.scheme], c.spot)[0])
+    for (spot, _), (_, weight_sets, costs) in groups.items():
+        costs += [cost for cost, _ in net_cost(hedge, weight_sets, spot)[0]]
 
     # rows: the draws, the spots, then the valuation's (see hedge._valued)
     sets = max(len(weight_sets) for _, weight_sets, _ in groups.values())

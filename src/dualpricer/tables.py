@@ -3,9 +3,9 @@
 Seven studies wired to a fixed parameter set: t1-t3 cross-check direct and
 swapped-problem tree pricing (prices, Greeks, and the currency-put
 approximation), t4-t6 tabulate static-hedge errors for both weighting
-schemes, and t7 summarizes the Monte-Carlo hedge-error run.  The builders
-return plain data; rendering to aligned text or CSV lives here too so the
-CLI stays thin.
+schemes from one valuation of each spot set, and t7 summarizes the
+Monte-Carlo hedge-error run.  The builders return plain data; rendering
+to aligned text or CSV lives here too so the CLI stays thin.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .analytic import (
     MarketState,
     OptionRight,
     OptionSpec,
-    call_price,
 )
 from .duality import from_dual_valuation, price_currency_put_approx, to_dual
 from .hedge import (
@@ -216,71 +215,64 @@ def _scheme_key(scheme: HedgeScheme) -> str:
     return scheme.value.replace("-", "_")
 
 
-def _hedged_call(tau: float):
-    cfg = DEFAULT_HEDGE
-    return call_price(
-        _HEDGE_SPOTS, cfg.target_strike, cfg.rate, cfg.dividend_yield, cfg.vol, tau
-    )
+def _weight_sets():
+    return tuple(solve_weights(DEFAULT_HEDGE, s) for s in HedgeScheme)
 
 
-def _hedge_table(name, title, lead, columns, suffix, values) -> TableData:
+def _hedge_table(name, title, lead, columns, suffix, pairs) -> TableData:
     """A t4-t6 table: lead columns, then a value and a percent per scheme.
 
     ``lead`` holds the (header, format) of each lead column and ``columns``
-    lists its cells; ``values(weights)`` gives one scheme's (values,
-    percents) for every row in one call.
+    lists its cells; ``pairs`` holds each scheme's (values, percents) for
+    every row, in ``HedgeScheme`` order.
     """
     headers = [header for header, _ in lead]
     formats = [fmt for _, fmt in lead]
-    for s in HedgeScheme:
+    for s, pair in zip(HedgeScheme, pairs, strict=True):
         headers += [f"{_scheme_key(s)}_{suffix}", f"{_scheme_key(s)}_{suffix}_pct"]
         formats += [".3f", ".2f"]
-        columns += values(solve_weights(DEFAULT_HEDGE, s))
+        columns += pair
     body = zip(*(column.tolist() for column in columns))
     return TableData(name, title, tuple(headers), tuple(formats), tuple(body))
 
 
 def table4() -> TableData:
-    """Gross hedge error across horizon spots."""
-    cfg = DEFAULT_HEDGE
+    """Gross hedge error and the hedged call across horizon spots."""
+    pairs, hedged = gross_error(DEFAULT_HEDGE, _weight_sets(), _HEDGE_SPOTS)
     return _hedge_table(
         "t4",
         "Gross hedge errors at the end of the hedge period",
         (("spot_at_horizon", "g"), ("hedged_call", ".3f")),
-        [_HEDGE_SPOTS, _hedged_call(cfg.target_maturity - cfg.horizon)],
+        [_HEDGE_SPOTS, hedged],
         "gross",
-        lambda w: gross_error(cfg, w, _HEDGE_SPOTS),
+        pairs,
     )
 
 
 def table5() -> TableData:
-    """Net cost of the hedge at setup across starting spots."""
-    cfg = DEFAULT_HEDGE
+    """Net cost of the hedge and the hedged call at setup across starting spots."""
+    pairs, hedged = net_cost(DEFAULT_HEDGE, _weight_sets(), _HEDGE_SPOTS)
     return _hedge_table(
         "t5",
         "Net costs of the hedge at setup",
         (("spot_at_0", "g"), ("hedged_call", ".3f")),
-        [_HEDGE_SPOTS, _hedged_call(cfg.target_maturity)],
+        [_HEDGE_SPOTS, hedged],
         "cost",
-        lambda w: net_cost(cfg, w, _HEDGE_SPOTS),
+        pairs,
     )
 
 
 def table6() -> TableData:
     """True hedge errors for known start and horizon spots."""
     starts, horizons = np.repeat(_TRUE_ERROR_SPOTS, 3), np.tile(_TRUE_ERROR_SPOTS, 3)
-
-    def true_pair(w):
-        report = true_error(DEFAULT_HEDGE, w, starts, horizons)
-        return report.true_error, report.true_error_pct
-
+    reports = true_error(DEFAULT_HEDGE, _weight_sets(), starts, horizons)
     return _hedge_table(
         "t6",
         "True hedge errors with known start and horizon spots",
         (("spot_at_0", "g"), ("spot_at_horizon", "g")),
         [starts, horizons],
         "true",
-        true_pair,
+        [(r.true_error, r.true_error_pct) for r in reports],
     )
 
 

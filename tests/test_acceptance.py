@@ -238,7 +238,7 @@ def test_criterion_5_hedge_error_tables(capsys):
         )
         value_dev = max(value_dev, abs(price - hedged))
         for w, (e_ref, pct_ref) in zip(schemes, (cols[:2], cols[2:])):
-            e, pct = gross_error(cfg, w, spot)
+            ((e, pct),), _ = gross_error(cfg, (w,), spot)
             value_dev = max(value_dev, abs(e - e_ref))
             pct_dev = max(pct_dev, abs(pct - pct_ref))
 
@@ -249,13 +249,13 @@ def test_criterion_5_hedge_error_tables(capsys):
         )
         value_dev = max(value_dev, abs(price - hedged))
         for w, (x_ref, pct_ref) in zip(schemes, (cols[:2], cols[2:])):
-            x, pct = net_cost(cfg, w, spot)
+            ((x, pct),), _ = net_cost(cfg, (w,), spot)
             value_dev = max(value_dev, abs(x - x_ref))
             pct_dev = max(pct_dev, abs(pct - pct_ref))
 
     for (row_spot, col_spot), cols in T6_TRUE.items():
         for w, (e_ref, pct_ref) in zip(schemes, (cols[:2], cols[2:])):
-            rep = true_error(cfg, w, col_spot, row_spot)
+            (rep,) = true_error(cfg, (w,), col_spot, row_spot)
             value_dev = max(value_dev, abs(rep.true_error - e_ref))
             pct_dev = max(pct_dev, abs(rep.true_error_pct - pct_ref))
 

@@ -338,6 +338,8 @@ BUFFERED_CASES = {
     "straddles": (np.linspace(30.0, 70.0, 4001), 40.0, WING_TENOR),
     "below": (np.linspace(30.0, 70.0, 4001), 50.0, 0.5),
     "extremes": (np.array([1e-300, 1e300, 1e-300, 45.0]), 40.0, WING_TENOR),
+    # a 0-d spot deep in the money: every d2 is above _ONE_AT
+    "deep-0d": (np.array(100.0), 40.0, 0.01),
 }
 
 
@@ -346,7 +348,8 @@ def test_buffered_call_price_keeps_the_bits(case):
     spots, strike, maturity = BUFFERED_CASES[case]
     args = (spots, strike, 0.05, 0.01, 0.2, maturity)
     d2 = d1_d2(*args)[1]
-    assert (np.min(d2) < _ONE_AT <= np.max(d2)) == (case != "below")
+    reaches = (np.min(d2) < _ONE_AT, _ONE_AT <= np.max(d2))
+    assert reaches == {"below": (True, False), "deep-0d": (False, True)}.get(case, (True, True))
     kept = spots.copy()
     out, scratch = np.empty_like(spots), np.empty_like(spots)
     assert call_price(*args, out=out, scratch=scratch) is out

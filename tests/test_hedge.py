@@ -68,8 +68,8 @@ def test_horizon_may_touch_wing_expiry_for_solving_only():
     weights = solve_weights(cfg, HedgeScheme.BSM_DUAL)
     assert math.isfinite(weights.w_mid)
     with pytest.raises(HedgeConstraintError):
-        gross_error(cfg, weights, 50.0)
-    cost, _ = net_cost(cfg, weights, 50.0)
+        gross_error(cfg, (weights,), 50.0)
+    ((cost, _),), _ = net_cost(cfg, (weights,), 50.0)
     with pytest.raises(HedgeConstraintError):
         true_errors(cfg, [weights], [cost], np.array([50.0]))
 
@@ -236,10 +236,10 @@ def test_gross_error_golden_rows():
             cfg.target_maturity - cfg.horizon,
         )
         assert price == pytest.approx(hedged, abs=2e-3)
-        e, pct = gross_error(cfg, full, spot)
+        ((e, pct),), _ = gross_error(cfg, (full,), spot)
         assert e == pytest.approx(e_full, abs=2e-3)
         assert pct == pytest.approx(pct_full, abs=5e-2)
-        e, pct = gross_error(cfg, special, spot)
+        ((e, pct),), _ = gross_error(cfg, (special,), spot)
         assert e == pytest.approx(e_zr, abs=2e-3)
         assert pct == pytest.approx(pct_zr, abs=5e-2)
 
@@ -265,10 +265,10 @@ def test_net_cost_golden_rows():
             cfg.target_maturity,
         )
         assert price == pytest.approx(hedged, abs=2e-3)
-        x, pct = net_cost(cfg, full, spot)
+        ((x, pct),), _ = net_cost(cfg, (full,), spot)
         assert x == pytest.approx(x_full, abs=2e-3)
         assert pct == pytest.approx(pct_full, abs=5e-2)
-        x, pct = net_cost(cfg, special, spot)
+        ((x, pct),), _ = net_cost(cfg, (special,), spot)
         assert x == pytest.approx(x_zr, abs=2e-3)
         assert pct == pytest.approx(pct_zr, abs=5e-2)
 
@@ -286,10 +286,10 @@ def test_true_error_golden_rows():
     full = solve_weights(cfg, HedgeScheme.BSM_DUAL)
     special = solve_weights(cfg, HedgeScheme.WU_ZHU)
     for (s0, sh), (e_full, pct_full, e_zr, pct_zr) in TRUE_ROWS.items():
-        report = true_error(cfg, full, s0, sh)
+        (report,) = true_error(cfg, (full,), s0, sh)
         assert report.true_error == pytest.approx(e_full, abs=2e-3)
         assert report.true_error_pct == pytest.approx(pct_full, abs=5e-2)
-        report = true_error(cfg, special, s0, sh)
+        (report,) = true_error(cfg, (special,), s0, sh)
         assert report.true_error == pytest.approx(e_zr, abs=2e-3)
         assert report.true_error_pct == pytest.approx(pct_zr, abs=5e-2)
 
@@ -297,9 +297,9 @@ def test_true_error_golden_rows():
 def test_report_combines_gross_and_cost():
     cfg = DEFAULT_HEDGE
     w = solve_weights(cfg, HedgeScheme.BSM_DUAL)
-    report = true_error(cfg, w, 52.0, 47.0)
-    assert report.gross_error == pytest.approx(gross_error(cfg, w, 47.0)[0])
-    assert report.net_cost == pytest.approx(net_cost(cfg, w, 52.0)[0])
+    (report,) = true_error(cfg, (w,), 52.0, 47.0)
+    assert report.gross_error == pytest.approx(gross_error(cfg, (w,), 47.0)[0][0][0])
+    assert report.net_cost == pytest.approx(net_cost(cfg, (w,), 52.0)[0][0][0])
     compounded = report.net_cost * math.exp(cfg.rate * cfg.horizon)
     assert report.true_error == pytest.approx(
         report.gross_error - compounded, abs=1e-12
@@ -310,11 +310,11 @@ def test_true_errors_vectorized_matches_scalar():
     cfg = DEFAULT_HEDGE
     w = solve_weights(cfg, HedgeScheme.BSM_DUAL)
     spots = np.array([45.0, 50.0, 55.0])
-    cost, _ = net_cost(cfg, w, 50.0)
+    ((cost, _),), _ = net_cost(cfg, (w,), 50.0)
     (errors,), hedged = true_errors(cfg, [w], [cost], spots)
     assert errors.shape == hedged.shape == spots.shape
     for err, price, spot in zip(errors, hedged, spots):
-        report = true_error(cfg, w, 50.0, float(spot))
+        (report,) = true_error(cfg, (w,), 50.0, float(spot))
         assert err == pytest.approx(report.true_error, abs=1e-12)
         assert 100.0 * err / price == pytest.approx(
             report.true_error_pct, abs=1e-9
@@ -329,24 +329,61 @@ def test_true_errors_vectorized_matches_scalar():
 
     for scheme in HedgeScheme:
         w = solve_weights(cfg, scheme)
-        gross = gross_error(cfg, w, horizons)
-        cost = net_cost(cfg, w, starts)
-        report = true_error(cfg, w, starts, horizons.reshape(-1, 1))
+        (gross,), _ = gross_error(cfg, (w,), horizons)
+        (cost,), _ = net_cost(cfg, (w,), starts)
+        (report,) = true_error(cfg, (w,), starts, horizons.reshape(-1, 1))
         for i, (start, horizon) in enumerate(zip(starts, horizons)):
-            assert bits(g[i] for g in gross) == bits(gross_error(cfg, w, float(horizon)))
-            assert bits(c[i] for c in cost) == bits(net_cost(cfg, w, float(start)))
+            assert bits(g[i] for g in gross) == bits(gross_error(cfg, (w,), float(horizon))[0][0])
+            assert bits(c[i] for c in cost) == bits(net_cost(cfg, (w,), float(start))[0][0])
             for j, at_horizon in enumerate(horizons):
-                cell = true_error(cfg, w, float(start), float(at_horizon))
+                (cell,) = true_error(cfg, (w,), float(start), float(at_horizon))
                 fields = (np.broadcast_to(r, (41, 41)) for r in dataclasses.astuple(report))
                 assert bits(r[j, i] for r in fields) == bits(
                     dataclasses.astuple(cell)
                 )
 
 
+spot_sets = st.one_of(
+    st.floats(30.0, 120.0),
+    st.lists(st.floats(30.0, 120.0), min_size=1, max_size=6).map(np.array),
+)
+
+
+def field_bits(values):
+    return [(np.shape(v), np.asarray(v, dtype=float).tobytes()) for v in values]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.permutations(list(HedgeScheme)),
+    st.floats(0.15, 0.4),
+    st.floats(0.0, 0.1),
+    spot_sets,
+    spot_sets,
+)
+def test_weight_sets_report_as_each_set_alone(schemes, vol, rate, starts, horizons):
+    cfg = replace(DEFAULT_HEDGE, vol=vol, rate=rate)
+    weight_sets = [solve_weights(cfg, s) for s in schemes]
+    # a column of horizon spots against a row of setup spots
+    horizons = np.reshape(horizons, (-1, 1)) if np.ndim(horizons) else horizons
+    for report_of, spots in ((gross_error, horizons), (net_cost, starts)):
+        pairs, target = report_of(cfg, weight_sets, spots)
+        for w, pair in zip(weight_sets, pairs, strict=True):
+            (alone,), alone_target = report_of(cfg, (w,), spots)
+            assert field_bits(pair) == field_bits(alone)
+            assert field_bits([target]) == field_bits([alone_target])
+    reports = true_error(cfg, weight_sets, starts, horizons)
+    for w, together in zip(weight_sets, reports, strict=True):
+        (alone,) = true_error(cfg, (w,), starts, horizons)
+        assert field_bits(dataclasses.astuple(together)) == field_bits(
+            dataclasses.astuple(alone)
+        )
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
 def test_true_errors_rejects_bad_horizon_spots(bad):
     w = solve_weights(DEFAULT_HEDGE, HedgeScheme.BSM_DUAL)
-    cost, _ = net_cost(DEFAULT_HEDGE, w, 50.0)
+    ((cost, _),), _ = net_cost(DEFAULT_HEDGE, (w,), 50.0)
     with pytest.raises(PricingError, match="spot at the horizon"):
         true_errors(DEFAULT_HEDGE, [w], [cost], np.array([50.0, bad, 45.0]))
 
@@ -360,25 +397,25 @@ def test_hedged_call_worth_less_than_strike_rounding_is_rejected():
     args = (cfg.target_strike, cfg.rate, cfg.dividend_yield, cfg.vol)
     to_horizon = cfg.target_maturity - cfg.horizon
     assert call_price(18.0, *args, to_horizon) < floor < call_price(19.0, *args, to_horizon)
-    assert math.isfinite(gross_error(cfg, w, 19.0)[1])
+    assert math.isfinite(gross_error(cfg, (w,), 19.0)[0][0][1])
     with pytest.raises(PricingError, match="below"):
-        gross_error(cfg, w, 18.0)
+        gross_error(cfg, (w,), 18.0)
     with pytest.raises(PricingError, match="below"):
         true_errors(cfg, [w], [0.0], np.array([50.0, 18.0]))
     # at setup the call has its whole maturity left
     assert call_price(16.0, *args, cfg.target_maturity) < floor
     assert floor < call_price(17.0, *args, cfg.target_maturity)
-    assert math.isfinite(net_cost(cfg, w, 17.0)[1])
+    assert math.isfinite(net_cost(cfg, (w,), 17.0)[0][0][1])
     with pytest.raises(PricingError, match="below"):
-        net_cost(cfg, w, 16.0)
+        net_cost(cfg, (w,), 16.0)
 
 
 def test_empty_portfolio_loses_the_target():
     cfg = DEFAULT_HEDGE
     none = HedgeWeights(0.0, 0.0, 0.0, HedgeScheme.BSM_DUAL, 1.0)
-    e, pct = gross_error(cfg, none, 60.0)
+    ((e, pct),), _ = gross_error(cfg, (none,), 60.0)
     assert pct == pytest.approx(-100.0, abs=1e-12)
     assert e < 0
-    x, pct = net_cost(cfg, none, 60.0)
+    ((x, pct),), _ = net_cost(cfg, (none,), 60.0)
     assert pct == pytest.approx(-100.0, abs=1e-12)
     assert x < 0

@@ -94,7 +94,7 @@ def test_single_zero_draw_reduces_to_known_spot_report():
     summary = run_hedge_sim(cfg, draws=np.array([0.0]))
     terminal = float(gbm_terminal(cfg.spot, cfg.drift, DEFAULT_HEDGE.vol, HORIZON, 0.0))
     weights = solve_weights(DEFAULT_HEDGE, cfg.scheme)
-    report = true_error(DEFAULT_HEDGE, weights, cfg.spot, terminal)
+    (report,) = true_error(DEFAULT_HEDGE, (weights,), cfg.spot, terminal)
     assert summary.mhe_pct == pytest.approx(report.true_error_pct, abs=1e-10)
     assert summary.mae_pct == pytest.approx(abs(report.true_error_pct), abs=1e-10)
     assert summary.rmse == pytest.approx(abs(report.true_error), abs=1e-12)
@@ -171,7 +171,7 @@ def reference_true_errors(cfg, w, spot_at_start, spots_at_horizon):
     )
     target = call_price(spots, cfg.target_strike, *args, cfg.target_maturity - cfg.horizon)
     eps = portfolio - target
-    cost, _ = net_cost(cfg, w, spot_at_start)
+    ((cost, _),), _ = net_cost(cfg, (w,), spot_at_start)
     errors = eps - cost * math.exp(cfg.rate * cfg.horizon)
     return errors, target
 
@@ -230,7 +230,7 @@ def test_blocked_run_matches_unblocked_reference(run):
 
 def test_true_errors_matches_reference_for_any_shape():
     w = solve_weights(DEFAULT_HEDGE, HedgeScheme.BSM_DUAL)
-    cost, _ = net_cost(DEFAULT_HEDGE, w, 50.0)
+    ((cost, _),), _ = net_cost(DEFAULT_HEDGE, (w,), 50.0)
     spots = gbm_terminal(50.0, 0.04, 0.2, HORIZON, normal_draws(9, 3 * _BLOCK))
     for shaped in (spots, spots[1:], spots.reshape(3, _BLOCK), spots[::2]):
         (errors,), target = hedge.true_errors(DEFAULT_HEDGE, [w], [cost], shaped)
@@ -243,7 +243,7 @@ def test_true_errors_matches_reference_for_any_shape():
 def test_true_errors_values_several_weight_sets_as_each_alone():
     spots = gbm_terminal(50.0, 0.04, 0.2, HORIZON, normal_draws(13, 999))
     weight_sets = [solve_weights(DEFAULT_HEDGE, s) for s in HedgeScheme]
-    costs = [net_cost(DEFAULT_HEDGE, w, 48.0)[0] for w in weight_sets]
+    costs = [net_cost(DEFAULT_HEDGE, (w,), 48.0)[0][0][0] for w in weight_sets]
     errors, target = hedge.true_errors(DEFAULT_HEDGE, weight_sets, costs, spots)
     assert len(errors) == len(weight_sets)
     for err, w in zip(errors, weight_sets):

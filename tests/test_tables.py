@@ -2,6 +2,7 @@
 
 import csv
 import io
+import sys
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from dualpricer import (
     MarketState,
     OptionRight,
     OptionSpec,
+    analytic,
     delta_via_dual,
     gross_error,
     hedge,
@@ -24,6 +26,7 @@ from dualpricer import (
     price_currency_put_approx,
     price_via_dual,
     run_hedge_sim,
+    run_hedge_sims,
     solve_weights,
     true_error,
 )
@@ -94,7 +97,7 @@ def test_table4_scheme_selection_and_values():
     for scheme, offset in ((HedgeScheme.BSM_DUAL, 2), (HedgeScheme.WU_ZHU, 4)):
         w = solve_weights(DEFAULT_HEDGE, scheme)
         for row in table.rows:
-            e, pct = gross_error(DEFAULT_HEDGE, w, row[0])
+            ((e, pct),), _ = gross_error(DEFAULT_HEDGE, (w,), row[0])
             assert row[offset] == pytest.approx(e, rel=1e-12)
             assert row[offset + 1] == pytest.approx(pct, rel=1e-12)
 
@@ -106,7 +109,7 @@ def test_table5_matches_net_cost():
     for scheme, offset in ((HedgeScheme.BSM_DUAL, 2), (HedgeScheme.WU_ZHU, 4)):
         w = solve_weights(DEFAULT_HEDGE, scheme)
         for row in table.rows:
-            x, pct = net_cost(DEFAULT_HEDGE, w, row[0])
+            ((x, pct),), _ = net_cost(DEFAULT_HEDGE, (w,), row[0])
             assert row[offset] == pytest.approx(x, rel=1e-12)
             assert row[offset + 1] == pytest.approx(pct, rel=1e-12)
 
@@ -119,7 +122,7 @@ def test_table6_spot_pairs_and_values():
     ]
     w = solve_weights(DEFAULT_HEDGE, HedgeScheme.BSM_DUAL)
     for row in table.rows:
-        report = true_error(DEFAULT_HEDGE, w, row[0], row[1])
+        (report,) = true_error(DEFAULT_HEDGE, (w,), row[0], row[1])
         assert row[2] == pytest.approx(report.true_error, rel=1e-12)
         assert row[3] == pytest.approx(report.true_error_pct, rel=1e-12)
 
@@ -158,11 +161,51 @@ def test_table7_values_each_row_horizon_once_for_both_schemes(monkeypatch):
     table = TABLE_BUILDERS["t7"](seed=7, paths=paths)
     horizon = [n for n in elements if n == paths]
     setup = [n for n in elements if n == 1]
-    # per row: three hedging calls and the target on every path, shared
-    # by both schemes, and one setup valuation per scheme
+    # per row: three hedging calls and the target on every path and once
+    # at setup, each shared by both schemes
     assert sum(horizon) == 4 * paths * len(table.rows)
-    assert len(setup) == 4 * 2 * len(table.rows)
+    assert len(setup) == 4 * len(table.rows)
     assert len(horizon) + len(setup) == len(elements)
+
+
+def counted_call_prices(monkeypatch):
+    """Spot sizes of every ``call_price`` valuation, at every binding."""
+    sizes = []
+    original = analytic.call_price
+
+    def counted(spot, *args, **kwargs):
+        sizes.append(np.size(spot))
+        return original(spot, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "dualpricer" and vars(module).get("call_price") is original:
+            monkeypatch.setattr(module, "call_price", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("name, valuations", [("t4", 4), ("t5", 4), ("t6", 8), ("t7", 80)])
+def test_hedge_tables_value_each_spot_set_once_for_both_schemes(name, valuations, monkeypatch):
+    # four calls per spot set: the three hedging calls and the target;
+    # t6 has a setup and a horizon set, t7 both for each of its ten rows
+    sizes = counted_call_prices(monkeypatch)
+    TABLE_BUILDERS[name]()
+    assert len(sizes) == valuations
+
+
+def test_shared_runs_value_each_setup_spot_once(monkeypatch):
+    # one setup valuation per (spot, drift) group, whatever its schemes;
+    # each group here has its own spot0
+    sizes = counted_call_prices(monkeypatch)
+    paths = 300
+    cfgs = [
+        SimConfig(spot, 0.04, paths, 7, DEFAULT_HEDGE, s)
+        for spot in (46.0, 50.0, 54.0)
+        for s in (*HedgeScheme, HedgeScheme.BSM_DUAL)
+    ]
+    run_hedge_sims(cfgs)
+    assert sizes.count(1) == 4 * 3
+    assert sizes.count(paths) == 4 * 3
+    assert len(sizes) == 4 * 3 + 4 * 3
 
 
 def table7_peak_bytes(paths):
