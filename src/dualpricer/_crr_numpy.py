@@ -105,6 +105,5 @@ def induct(spots, strikes, up, prob_ups, discounts, steps, is_calls, american):
                 if i <= 2:
                     low[i] = v[: i + 1].copy()
     v2 = low.get(2, np.full((3, width), np.nan))
-    v1 = low[1] if steps >= 1 else np.full((2, width), np.nan)
-    rows = (low[0][0], v1[0], v1[1], v2[0], v2[1], v2[2])
+    rows = (low[0][0], low[1][0], low[1][1], v2[0], v2[1], v2[2])
     return tuple(zip(*(row.tolist() for row in rows)))

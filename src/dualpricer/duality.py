@@ -66,6 +66,7 @@ def to_dual(spec: OptionSpec, mkt: MarketState) -> tuple[OptionSpec, MarketState
     return dual_spec, dual_mkt
 
 
+@dataclass(frozen=True)
 class AnalyticEngine:
     """Closed-form European engine; rejects American style."""
 
@@ -86,9 +87,6 @@ class AnalyticEngine:
 
     def valuation(self, spec: OptionSpec, mkt: MarketState) -> tuple[float, float, float]:
         return self.valuations([(spec, mkt)])[0]
-
-    def __repr__(self):
-        return "AnalyticEngine()"
 
 
 @dataclass(frozen=True)

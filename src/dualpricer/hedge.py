@@ -261,7 +261,7 @@ def _valued(cfg: HedgeConfig, weight_sets, spots, at_horizon: bool, work=None):
     else:
         when, now = "setup", 0.0
     spots = np.asarray(spots)[()]  # a 0-d spot as a scalar, which prices faster
-    if not (spots.min() > 0 and spots.max() < math.inf):
+    if not (spots.min(initial=math.inf) > 0 and spots.max(initial=-math.inf) < math.inf):
         bad = spots[~((spots > 0) & (spots < math.inf))].flat[0]
         raise PricingError(f"spot at {when} must be positive and finite, got {bad}")
     if work is None:  # call_price and np.multiply allocate in place of None
@@ -286,12 +286,15 @@ def _valued(cfg: HedgeConfig, weight_sets, spots, at_horizon: bool, work=None):
             diff += np.multiply(w.w_high, high, out=scratch)
             diff -= target
     # a target out of the float range makes its difference so too
-    if not all(-math.inf < d.min() and d.max() < math.inf for d in diffs):
+    if not all(
+        -math.inf < d.min(initial=math.inf) and d.max(initial=-math.inf) < math.inf
+        for d in diffs
+    ):
         raise PricingError(
             f"hedge values at {when} leave the float range: vol {cfg.vol:g}, "
             f"rate {cfg.rate:g}, yield {cfg.dividend_yield:g}"
         )
-    worth = target.min()
+    worth = target.min(initial=math.inf)
     floor = _MIN_WORTH * cfg.target_strike
     if not worth >= floor:
         raise PricingError(

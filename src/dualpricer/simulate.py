@@ -7,8 +7,9 @@ true hedge error, and the run is summarized by the mean percentage error
 Draws come from a counter-based generator (Philox) through the inverse
 normal CDF, so a seed pins the full stream independently of platform and
 path count ordering.  Runs that share seed, paths and hedge may differ in
-spot, drift and scheme and share one pass over that stream (table t7);
-passed-in ``draws`` remain so that tests can pin degenerate paths.
+spot, drift and scheme, and share the stream and every valuation that
+does not depend on what differs (table t7); passed-in ``draws`` remain so
+that tests can pin degenerate paths.
 
 A run walks numpy's pairwise-summation tree over its paths (see
 ``_tree_sums``) and, at each leaf of at most ``_BLOCK`` paths in turn,
@@ -158,27 +159,30 @@ def run_hedge_sim(cfg: SimConfig, draws=None) -> SimSummary:
 def run_hedge_sims(cfgs, draws=None) -> tuple:
     """``run_hedge_sim`` for runs that share seed, paths and hedge.
 
-    The runs may differ in spot, drift and scheme; they share one set of
-    draws, and runs with the same spot and drift one setup and one horizon
-    valuation.
-    Each summary, in input order, has the bits of its own run.  Runs that
-    differ in seed, paths or hedge raise ``ValueError``.
+    The runs may differ in spot, drift and scheme.  They share one set of
+    draws, one setup valuation per spot and one horizon valuation per
+    (spot, drift), each for all the schemes in ``cfgs``: a (spot, drift)
+    asked for fewer schemes pays a difference row and three sums per leaf
+    for each other one.  Each summary, in input order, has the bits of its
+    own run; no runs give ``()``.  Runs that differ in seed, paths or hedge
+    raise ``ValueError``.
     """
-    return _run(tuple(cfgs), draws)
+    cfgs = tuple(cfgs)
+    return _run(cfgs, draws) if cfgs else ()
 
 
 def _run(cfgs, draws) -> tuple:
     """The leaf loop behind ``run_hedge_sim`` and ``run_hedge_sims``.
 
-    Each distinct (spot, drift) values its setup spot once, with
-    ``net_cost`` for all its schemes.  Each leaf draws its normals once,
-    from the run's one Philox stream or from ``draws``.  Per distinct
-    (spot, drift) it moves them with ``gbm_terminal``, values them once
-    with ``true_errors`` for the group's schemes and sums the ratios of
-    error to hedged-call price, their absolute values and the squared
-    errors, which ``_tree_sums`` adds up.
-    Every step writes into one block of leaf-sized rows allocated for the
-    run, so no leaf allocates or frees its working set.
+    Each valuation is keyed by what it depends on: a weight set by its
+    scheme, a ``net_cost`` setup valuation by its spot, and a horizon
+    valuation by its move, a distinct (spot, drift).  Each leaf draws its
+    normals once, from the Philox stream or ``draws``; per move, it moves
+    them with ``gbm_terminal``, values them with ``true_errors`` and sums,
+    per weight set, the ratios of error to hedged-call price, their
+    absolute values and the squared errors, which ``_tree_sums`` adds up.
+    A run reads its sums at ``3 * (len(schemes) * move + scheme)``.  Every
+    step writes into leaf-sized rows allocated once per run.
     Private, so that a traced run charges its time to the public entry.
     """
     cfg = cfgs[0]
@@ -191,18 +195,14 @@ def _run(cfgs, draws) -> tuple:
         z = np.asarray(draws, dtype=float)
         if z.shape != (cfg.paths,):
             raise PricingError(f"draws must have shape ({cfg.paths},), got {z.shape}")
-    weights = {s: solve_weights(hedge, s) for s in dict.fromkeys(c.scheme for c in cfgs)}
-    groups = {}  # (spot, drift) -> (indices into cfgs, weight sets, setup costs)
-    for k, c in enumerate(cfgs):
-        ks, weight_sets, _ = groups.setdefault((c.spot, c.drift), ([], [], []))
-        ks.append(k)
-        weight_sets.append(weights[c.scheme])
-    for (spot, _), (_, weight_sets, costs) in groups.items():
-        costs += [cost for cost, _ in net_cost(hedge, weight_sets, spot)[0]]
+    schemes = list(dict.fromkeys(c.scheme for c in cfgs))
+    weight_sets = [solve_weights(hedge, s) for s in schemes]
+    spots0 = dict.fromkeys(c.spot for c in cfgs)
+    costs = {s: [cost for cost, _ in net_cost(hedge, weight_sets, s)[0]] for s in spots0}
+    moves = list(dict.fromkeys((c.spot, c.drift) for c in cfgs))
 
     # rows: the draws, the spots, then the valuation's (see hedge._valued)
-    sets = max(len(weight_sets) for _, weight_sets, _ in groups.values())
-    work = np.empty((7 + sets, min(cfg.paths, _BLOCK)))
+    work = np.empty((7 + len(weight_sets), min(cfg.paths, _BLOCK)))
 
     def leaf_sums(start, count):
         drawn, spots, *valuation = work[:, :count]
@@ -211,10 +211,10 @@ def _run(cfgs, draws) -> tuple:
         else:
             leaf = z[start : start + count]
         sums = []
-        for (spot, drift), (_, weight_sets, costs) in groups.items():
+        for spot, drift in moves:
             with np.errstate(over="ignore"):  # true_errors rejects the inf spots
                 gbm_terminal(spot, drift, hedge.vol, hedge.horizon, leaf, out=spots)
-            errors, target = true_errors(hedge, weight_sets, costs, spots, valuation)
+            errors, target = true_errors(hedge, weight_sets, costs[spot], spots, valuation)
             with np.errstate(all="ignore"):  # a summary out of the float range raises below
                 for err in errors:
                     # the spots are valued, so their row takes the ratios
@@ -226,13 +226,12 @@ def _run(cfgs, draws) -> tuple:
                     ]
         return sums
 
-    means = iter([total / cfg.paths for total in _tree_sums(leaf_sums, cfg.paths)])
-    summaries = [None] * len(cfgs)
-    for k in (k for ks, _, _ in groups.values() for k in ks):
-        mhe, mae, rmse = 100.0 * next(means), 100.0 * next(means), math.sqrt(next(means))
+    means = [total / cfg.paths for total in _tree_sums(leaf_sums, cfg.paths)]
+    summaries = []
+    for c in cfgs:
+        k = 3 * (len(schemes) * moves.index((c.spot, c.drift)) + schemes.index(c.scheme))
+        mhe, mae, rmse = 100.0 * means[k], 100.0 * means[k + 1], math.sqrt(means[k + 2])
         if not all(map(math.isfinite, (mhe, mae, rmse))):
-            raise PricingError(
-                f"simulated hedge errors leave the float range (spot {cfgs[k].spot:g})"
-            )
-        summaries[k] = SimSummary(mhe_pct=mhe, mae_pct=mae, rmse=rmse, paths=cfg.paths)
+            raise PricingError(f"simulated hedge errors leave the float range (spot {c.spot:g})")
+        summaries.append(SimSummary(mhe_pct=mhe, mae_pct=mae, rmse=rmse, paths=cfg.paths))
     return tuple(summaries)

@@ -388,6 +388,27 @@ def test_true_errors_rejects_bad_horizon_spots(bad):
         true_errors(DEFAULT_HEDGE, [w], [cost], np.array([50.0, bad, 45.0]))
 
 
+def test_empty_spots_give_empty_reports():
+    # as call_price does: no spots, no values, and no check raises
+    cfg, empty = DEFAULT_HEDGE, np.array([])
+    weight_sets = [solve_weights(cfg, s) for s in HedgeScheme]
+    for report_of in (gross_error, net_cost):
+        pairs, target = report_of(cfg, weight_sets, empty)
+        assert [np.shape(v) for pair in pairs for v in pair] == [(0,)] * 4
+        assert target.shape == (0,)
+    errors, target = true_errors(cfg, weight_sets, [0.0, 0.0], empty)
+    assert [np.shape(v) for v in (*errors, target)] == [(0,)] * 3
+    # gross fields take the horizon spots' shape, net-cost fields the
+    # setup spots', true fields both together
+    for starts, horizons, shapes in (
+        (empty, 45.0, [(), (), (0,), (0,), (0,), (0,)]),
+        (55.0, empty, [(0,), (0,), (), (), (0,), (0,)]),
+        (empty, empty.reshape(-1, 1), [(0, 1)] * 2 + [(0,)] * 2 + [(0, 0)] * 2),
+    ):
+        for report in true_error(cfg, weight_sets, starts, horizons):
+            assert [np.shape(f) for f in dataclasses.astuple(report)] == shapes
+
+
 def test_hedged_call_worth_less_than_strike_rounding_is_rejected():
     # the floor is eps K, the rounding unit of the target strike; the K = 50
     # call is worth 4.7e-15 at horizon spot 18 and 1.2e-13 at spot 19

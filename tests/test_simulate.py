@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import itertools
 import math
 import struct
 import tracemalloc
@@ -346,13 +347,31 @@ def test_runs_sharing_paths_match_their_single_runs():
         for s in HedgeScheme
     ]
     cfgs = cfgs[::2] + cfgs[1::2] + cfgs[:1]
-    for passed in (None, draws):
-        shared = run_hedge_sims(cfgs, draws=passed)
-        assert [bits(s) for s in shared] == [bits(run_hedge_sim(c, passed)) for c in cfgs]
+    # one run twice, one spot0 at two drifts, and (spot, drift) pairs that
+    # ask one scheme each; the run's first scheme is wu-zhu
+    wu, full = HedgeScheme.WU_ZHU, HedgeScheme.BSM_DUAL
+    mixed = [
+        sim(paths=draws.size, scheme=s, spot=spot, drift=drift)
+        for spot, drift, s in (
+            (48.0, 0.0, wu),
+            (52.0, 0.08, full),
+            (52.0, 0.08, wu),
+            (48.0, 0.0, wu),
+            (48.0, 0.08, full),
+        )
+    ]
+    for case, passed in itertools.product((cfgs, mixed), (None, draws)):
+        shared = run_hedge_sims(case, draws=passed)
+        assert [bits(s) for s in shared] == [bits(run_hedge_sim(c, passed)) for c in case]
     other_hedge = dataclasses.replace(DEFAULT_HEDGE, vol=0.25)
     for field, value in (("seed", 43), ("paths", 2001), ("hedge", other_hedge)):
         with pytest.raises(ValueError, match="seed, paths and hedge"):
             run_hedge_sims([cfgs[0], dataclasses.replace(cfgs[1], **{field: value})])
+
+
+def test_no_runs_give_no_summaries():
+    assert run_hedge_sims(()) == ()
+    assert run_hedge_sims(iter([])) == ()
 
 
 def counting(monkeypatch, module, name, calls):

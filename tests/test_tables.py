@@ -161,10 +161,11 @@ def test_table7_values_each_row_horizon_once_for_both_schemes(monkeypatch):
     table = TABLE_BUILDERS["t7"](seed=7, paths=paths)
     horizon = [n for n in elements if n == paths]
     setup = [n for n in elements if n == 1]
-    # per row: three hedging calls and the target on every path and once
-    # at setup, each shared by both schemes
+    # three hedging calls and the target on every path of each row, and
+    # once at setup per spot0, each shared by both schemes; the setup
+    # valuation is shared by both drifts too
     assert sum(horizon) == 4 * paths * len(table.rows)
-    assert len(setup) == 4 * len(table.rows)
+    assert len(setup) == 4 * len({spot0 for _, spot0, *_ in table.rows})
     assert len(horizon) + len(setup) == len(elements)
 
 
@@ -183,29 +184,31 @@ def counted_call_prices(monkeypatch):
     return sizes
 
 
-@pytest.mark.parametrize("name, valuations", [("t4", 4), ("t5", 4), ("t6", 8), ("t7", 80)])
+@pytest.mark.parametrize("name, valuations", [("t4", 4), ("t5", 4), ("t6", 8), ("t7", 60)])
 def test_hedge_tables_value_each_spot_set_once_for_both_schemes(name, valuations, monkeypatch):
     # four calls per spot set: the three hedging calls and the target;
-    # t6 has a setup and a horizon set, t7 both for each of its ten rows
+    # t6 has a setup and a horizon set, t7 a setup set for each of its five
+    # spot0s and a horizon set for each of its ten rows
     sizes = counted_call_prices(monkeypatch)
     TABLE_BUILDERS[name]()
     assert len(sizes) == valuations
 
 
 def test_shared_runs_value_each_setup_spot_once(monkeypatch):
-    # one setup valuation per (spot, drift) group, whatever its schemes;
-    # each group here has its own spot0
+    # one setup valuation per distinct spot0, whatever its drifts and
+    # schemes, and one horizon valuation per (spot, drift); spot0 50 is
+    # here at two drifts
     sizes = counted_call_prices(monkeypatch)
     paths = 300
     cfgs = [
-        SimConfig(spot, 0.04, paths, 7, DEFAULT_HEDGE, s)
-        for spot in (46.0, 50.0, 54.0)
+        SimConfig(spot, drift, paths, 7, DEFAULT_HEDGE, s)
+        for spot, drift in ((46.0, 0.04), (50.0, 0.04), (54.0, 0.04), (50.0, 0.08))
         for s in (*HedgeScheme, HedgeScheme.BSM_DUAL)
     ]
     run_hedge_sims(cfgs)
     assert sizes.count(1) == 4 * 3
-    assert sizes.count(paths) == 4 * 3
-    assert len(sizes) == 4 * 3 + 4 * 3
+    assert sizes.count(paths) == 4 * 4
+    assert len(sizes) == 4 * 3 + 4 * 4
 
 
 def table7_peak_bytes(paths):
