@@ -152,6 +152,8 @@ def call_price(
     if d2.size and np.max(d2) >= _ONE_AT:
         # nonzero takes no 0-d array, so index views of at least one axis
         view1, view2, view = np.atleast_1d(d1, d2, out)
+        # gathered, not ndtr(..., where=): with scipy 1.17.1 and numpy 2.4.6
+        # the masked ufunc wrote wrong values and corrupted the heap
         rest = np.nonzero(view2 < _ONE_AT)
         n1, n2 = ndtr(view1[rest]), ndtr(view2[rest])
         view2.fill(1.0)

@@ -13,7 +13,9 @@ Format, one pair per line::
     scheme = wu-zhu
     Kd = 40
 
-Blank lines and lines starting with ``#`` are ignored.
+Blank lines and lines starting with ``#`` are ignored.  A file is a few
+hundred bytes; one over 64 KiB is rejected after reading 64 KiB and one
+byte, so a device or pipe that never ends is read no further.
 """
 
 from __future__ import annotations
@@ -26,15 +28,19 @@ __all__ = ["load_file"]
 def load_file(path: str) -> dict[str, str]:
     """The file's ``key -> value`` pairs, ``command`` included.
 
-    A file that is not UTF-8, a line that is not ``key = value``, a key that
-    is empty, holds whitespace or is repeated, and a file with no
+    A file over 64 KiB or not UTF-8, a line that is not ``key = value``, a
+    key that is empty, holds whitespace or is repeated, and a file with no
     ``command`` raise ``PricingError``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise PricingError(f"experiment file {path!r} is not UTF-8: {exc}") from None
+    limit = 1 << 16
+    with open(path, "rb") as fh:
+        data = fh.read(limit + 1)
+    if len(data) > limit:
+        raise PricingError(f"experiment file {path!r} is over {limit} bytes")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise PricingError(f"experiment file {path!r} is not UTF-8: {exc}") from None
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

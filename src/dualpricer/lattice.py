@@ -179,17 +179,25 @@ def lattice_valuations(
     """Price, delta and gamma of each (spec, market) pair, in input order.
 
     Delta is the first difference of the two step-1 node values; gamma is
-    the central second difference of the three step-2 node values.  Greeks
-    that leave the float range raise ``PricingError``.
+    the central second difference of the three step-2 node values.  A node
+    spacing they divide by that is not a normal float (a subnormal spot)
+    and Greeks that leave the float range raise ``PricingError``.
     """
     if steps < 2:
         raise PricingError(f"tree Greeks need steps >= 2, got {steps}")
     out = []
     for (spec, mkt), (params, nodes) in zip(pairs, _induct(pairs, steps)):
         v00, v10, v11, v20, v21, v22 = nodes
-        delta = (v11 - v10) / (mkt.spot * params.up - mkt.spot * params.down)
         s_up = mkt.spot * params.up**2
         s_dn = mkt.spot * params.down**2
+        step1 = mkt.spot * params.up - mkt.spot * params.down
+        # a subnormal spacing has lost its digits, or is 0
+        if min(step1, s_up - mkt.spot, mkt.spot - s_dn) < sys.float_info.min:
+            raise PricingError(
+                f"tree node spacing is below the normal float range at {steps} "
+                f"steps (spot {mkt.spot:g}, strike {spec.strike:g})"
+            )
+        delta = (v11 - v10) / step1
         slope_up = (v22 - v21) / (s_up - mkt.spot)
         slope_dn = (v21 - v20) / (mkt.spot - s_dn)
         gamma = (slope_up - slope_dn) / (0.5 * (s_up - s_dn))

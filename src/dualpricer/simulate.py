@@ -8,8 +8,8 @@ Draws come from a counter-based generator (Philox) through the inverse
 normal CDF, so a seed pins the full stream independently of platform and
 path count ordering.  Runs that share seed, paths and hedge may differ in
 spot, drift and scheme, and share the stream and every valuation that
-does not depend on what differs (table t7); passed-in ``draws`` remain so
-that tests can pin degenerate paths.
+does not depend on what differs (table t7): common random numbers across
+configurations, with the seed as the only source of the draws.
 
 A run walks numpy's pairwise-summation tree over its paths (see
 ``_tree_sums``) and, at each leaf of at most ``_BLOCK`` paths in turn,
@@ -144,23 +144,22 @@ def _tree(leaf_sums, start, count):
     return [a + b for a, b in zip(left, _tree(leaf_sums, start + half, count - half))]
 
 
-def run_hedge_sim(cfg: SimConfig, draws=None) -> SimSummary:
+def run_hedge_sim(cfg: SimConfig) -> SimSummary:
     """Simulate true hedge errors and aggregate them.
 
-    ``draws`` overrides the seeded normal draws (length must equal
-    ``cfg.paths``) and is never written to; tests pass it to pin
-    degenerate paths.  Terminal spots that ``hedge.true_errors`` rejects,
-    and a summary out of the float range, raise ``PricingError``.
+    The ``cfg.paths`` draws come from the Philox stream ``cfg.seed``
+    starts.  Terminal spots that ``hedge.true_errors`` rejects, and a
+    summary out of the float range, raise ``PricingError``.
     """
-    (summary,) = _run((cfg,), draws)
+    (summary,) = _run((cfg,))
     return summary
 
 
-def run_hedge_sims(cfgs, draws=None) -> tuple:
+def run_hedge_sims(cfgs) -> tuple:
     """``run_hedge_sim`` for runs that share seed, paths and hedge.
 
-    The runs may differ in spot, drift and scheme.  They share one set of
-    draws, one setup valuation per spot and one horizon valuation per
+    The runs may differ in spot, drift and scheme.  They share one stream
+    of draws, one setup valuation per spot and one horizon valuation per
     (spot, drift), each for all the schemes in ``cfgs``: a (spot, drift)
     asked for fewer schemes pays a difference row and three sums per leaf
     for each other one.  Each summary, in input order, has the bits of its
@@ -168,16 +167,16 @@ def run_hedge_sims(cfgs, draws=None) -> tuple:
     raise ``ValueError``.
     """
     cfgs = tuple(cfgs)
-    return _run(cfgs, draws) if cfgs else ()
+    return _run(cfgs) if cfgs else ()
 
 
-def _run(cfgs, draws) -> tuple:
+def _run(cfgs) -> tuple:
     """The leaf loop behind ``run_hedge_sim`` and ``run_hedge_sims``.
 
     Each valuation is keyed by what it depends on: a weight set by its
     scheme, a ``net_cost`` setup valuation by its spot, and a horizon
     valuation by its move, a distinct (spot, drift).  Each leaf draws its
-    normals once, from the Philox stream or ``draws``; per move, it moves
+    normals once, from the seed's Philox stream; per move, it moves
     them with ``gbm_terminal``, values them with ``true_errors`` and sums,
     per weight set, the ratios of error to hedged-call price, their
     absolute values and the squared errors, which ``_tree_sums`` adds up.
@@ -189,12 +188,7 @@ def _run(cfgs, draws) -> tuple:
     if any((c.seed, c.paths, c.hedge) != (cfg.seed, cfg.paths, cfg.hedge) for c in cfgs):
         raise ValueError("runs that share paths must share seed, paths and hedge")
     hedge = cfg.hedge
-    if draws is None:
-        rng = _philox(cfg.seed)
-    else:
-        z = np.asarray(draws, dtype=float)
-        if z.shape != (cfg.paths,):
-            raise PricingError(f"draws must have shape ({cfg.paths},), got {z.shape}")
+    rng = _philox(cfg.seed)
     schemes = list(dict.fromkeys(c.scheme for c in cfgs))
     weight_sets = [solve_weights(hedge, s) for s in schemes]
     spots0 = dict.fromkeys(c.spot for c in cfgs)
@@ -206,14 +200,11 @@ def _run(cfgs, draws) -> tuple:
 
     def leaf_sums(start, count):
         drawn, spots, *valuation = work[:, :count]
-        if draws is None:
-            leaf = normal_draws(rng, count, out=drawn)
-        else:
-            leaf = z[start : start + count]
+        normal_draws(rng, count, out=drawn)
         sums = []
         for spot, drift in moves:
             with np.errstate(over="ignore"):  # true_errors rejects the inf spots
-                gbm_terminal(spot, drift, hedge.vol, hedge.horizon, leaf, out=spots)
+                gbm_terminal(spot, drift, hedge.vol, hedge.horizon, drawn, out=spots)
             errors, target = true_errors(hedge, weight_sets, costs[spot], spots, valuation)
             with np.errstate(all="ignore"):  # a summary out of the float range raises below
                 for err in errors:

@@ -30,7 +30,6 @@ from dualpricer import (
     lattice_gamma,
     lattice_price,
     net_cost,
-    normal_draws,
     price_currency_put_approx,
     price_via_dual,
     put_price,
@@ -272,7 +271,6 @@ def test_criterion_5_hedge_error_tables(capsys):
 def test_criterion_6_simulated_hedge_errors(capsys):
     paths, seed = 10_000, 42
     started = time.perf_counter()
-    draws = normal_draws(seed, paths)
     mhe_dev = mae_dev = rmse_dev = 0.0
     ordering = True
     for (drift, spot), refs in T7_SIM.items():
@@ -282,7 +280,6 @@ def test_criterion_6_simulated_hedge_errors(capsys):
                     spot=spot, drift=drift, paths=paths, seed=seed,
                     hedge=DEFAULT_HEDGE, scheme=scheme,
                 ),
-                draws=draws,
             )
             for scheme in (HedgeScheme.BSM_DUAL, HedgeScheme.WU_ZHU)
         ]

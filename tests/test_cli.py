@@ -120,6 +120,12 @@ def test_price_too_many_steps_fails(capsys):
         ["--style", "american", "-r=-1e300", "-q=-1e300", "--vol", "0.4", "-T", "1"],
         ["--style", "european", "--right", "call", "-S", "1e-300", "-K", "1e-300", "-r", "0",
          "--vol", "1", "-T", "1", "--greeks", "--dual"],
+        ["--style", "american", "-S", "5e-324", "-K", "100", "-r", "0.05", "--vol", "0.5",
+         "-T", "1", "--greeks"],
+        ["--style", "american", "--right", "call", "-S", "100", "-K", "5e-324", "-r", "0.05",
+         "--vol", "0.5", "-T", "1", "--dual", "--greeks"],
+        ["--style", "american", "-S", "1e-310", "-K", "100", "-r", "0.05", "--vol", "0.5",
+         "-T", "1", "--greeks"],
     ],
     ids=[
         "tree-vol-50",
@@ -132,6 +138,9 @@ def test_price_too_many_steps_fails(capsys):
         "tree-discount",
         "tree-huge-discount",
         "dual-greeks-after-direct",
+        "tree-greeks-subnormal-spot",
+        "dual-greeks-subnormal-strike",
+        "tree-greeks-spot-1e-310",
     ],
 )
 def test_price_beyond_float_range_fails(argv, capsys):
@@ -145,7 +154,9 @@ def test_price_beyond_float_range_fails(argv, capsys):
     assert not re.search(r"\b(nan|inf)\b", err)
 
 
-EXTREMES = (0.0, 1e-300, -1e-300, 1e300, -1e300, math.inf, -math.inf, math.nan)
+EXTREMES = (
+    0.0, 5e-324, 1e-310, 1e-300, -1e-300, 1e300, -1e300, math.inf, -math.inf, math.nan
+)
 
 
 def extreme_or(low, high):
@@ -606,6 +617,19 @@ def test_hedge_config_not_utf8(tmp_path, capsys):
     assert rc == 1
     assert out == ""
     assert err.startswith("error:") and "UTF-8" in err
+
+
+def test_experiment_file_over_64_kib_is_rejected(tmp_path, capsys):
+    head = "command = hedge\n"
+    at_limit = head + "#" * (2**16 - len(head) - 1) + "\n"
+    assert load_file(write_config(tmp_path, at_limit)) == {"command": "hedge"}
+    with pytest.raises(PricingError, match="over 65536 bytes"):
+        load_file(write_config(tmp_path, "#" + at_limit))
+    # an endless device is read no further than the bound
+    rc, out, err = run(["hedge", "--config", "/dev/zero"], capsys)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and "over 65536 bytes" in err
 
 
 def test_hedge_config_bad_scheme(tmp_path, capsys):

@@ -90,9 +90,14 @@ def test_run_is_deterministic():
     assert first.paths == 2000
 
 
-def test_single_zero_draw_reduces_to_known_spot_report():
+def test_single_zero_draw_reduces_to_known_spot_report(monkeypatch):
+    def zero_draws(source, count, *, out):
+        out.fill(0.0)
+        return out
+
+    monkeypatch.setattr(simulate, "normal_draws", zero_draws)
     cfg = sim(paths=1)
-    summary = run_hedge_sim(cfg, draws=np.array([0.0]))
+    summary = run_hedge_sim(cfg)
     terminal = float(gbm_terminal(cfg.spot, cfg.drift, DEFAULT_HEDGE.vol, HORIZON, 0.0))
     weights = solve_weights(DEFAULT_HEDGE, cfg.scheme)
     (report,) = true_error(DEFAULT_HEDGE, (weights,), cfg.spot, terminal)
@@ -108,10 +113,9 @@ def test_mean_absolute_bounds_mean():
 
 
 def test_full_scheme_beats_zero_rate_scheme_on_rmse():
-    draws = normal_draws(42, 4000)
     kw = dict(spot=50.0, drift=0.04, paths=4000, seed=42)
-    full = run_hedge_sim(sim(scheme=HedgeScheme.BSM_DUAL, **kw), draws=draws)
-    special = run_hedge_sim(sim(scheme=HedgeScheme.WU_ZHU, **kw), draws=draws)
+    full = run_hedge_sim(sim(scheme=HedgeScheme.BSM_DUAL, **kw))
+    special = run_hedge_sim(sim(scheme=HedgeScheme.WU_ZHU, **kw))
     assert full.rmse < special.rmse
 
 
@@ -120,13 +124,6 @@ def test_mhe_dispersion_shrinks_with_more_paths():
     few = np.array([run_hedge_sim(sim(paths=500, seed=s)).mhe_pct for s in seeds])
     many = np.array([run_hedge_sim(sim(paths=20_000, seed=s)).mhe_pct for s in seeds])
     assert many.std() < few.std()
-
-
-def test_draw_override_shape_is_checked():
-    with pytest.raises(PricingError):
-        run_hedge_sim(sim(paths=4), draws=np.zeros(3))
-    with pytest.raises(PricingError):
-        run_hedge_sim(sim(paths=4), draws=np.zeros((2, 2)))
 
 
 def test_config_validation():
@@ -152,11 +149,23 @@ def test_non_finite_terminal_spot_is_rejected(drift):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_non_finite_draw_is_rejected(bad):
-    draws = normal_draws(3, 2 * _BLOCK + 7)
-    draws[_BLOCK + 5] = bad
+def test_non_finite_draw_is_rejected(bad, monkeypatch):
+    # the bad draw lands in the second leaf, after a leaf of good ones
+    index, taken = _BLOCK + 5, []
+    original_draws = simulate.normal_draws
+
+    def spoiled_draws(source, count, **kwargs):
+        z = original_draws(source, count, **kwargs)
+        start = sum(taken)
+        if start <= index < start + count:
+            z[index - start] = bad
+        taken.append(count)
+        return z
+
+    monkeypatch.setattr(simulate, "normal_draws", spoiled_draws)
     with pytest.raises(PricingError, match="spot at the horizon"):
-        run_hedge_sim(sim(paths=draws.size), draws=draws)
+        run_hedge_sim(sim(paths=2 * _BLOCK + 7, seed=3))
+    assert sum(taken) > index
 
 
 def reference_true_errors(cfg, w, spot_at_start, spots_at_horizon):
@@ -177,9 +186,9 @@ def reference_true_errors(cfg, w, spot_at_start, spots_at_horizon):
     return errors, target
 
 
-def reference_run_hedge_sim(cfg, draws=None):
+def reference_run_hedge_sim(cfg):
     """Reference: ``run_hedge_sim`` as it stood before it went by blocks."""
-    z = normal_draws(cfg.seed, cfg.paths) if draws is None else np.asarray(draws, dtype=float)
+    z = normal_draws(cfg.seed, cfg.paths)
     weights = solve_weights(cfg.hedge, cfg.scheme)
     terminal = gbm_terminal(cfg.spot, cfg.drift, cfg.hedge.vol, cfg.hedge.horizon, z)
     errors, hedged_price = reference_true_errors(cfg.hedge, weights, cfg.spot, terminal)
@@ -205,28 +214,24 @@ EDGE_PATHS = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7)
 
 @st.composite
 def sim_runs(draw):
-    cfg = sim(
+    return sim(
         spot=draw(st.floats(30.0, 70.0)),
         drift=draw(st.floats(-0.5, 0.5)),
         paths=draw(st.one_of(st.sampled_from(EDGE_PATHS), st.integers(1, 3 * _BLOCK))),
         seed=draw(st.integers(0, 2**32 - 1)),
         scheme=draw(st.sampled_from(HedgeScheme)),
     )
-    return cfg, draw(st.booleans())
 
 
 @settings(max_examples=60, deadline=None)
 @given(sim_runs())
-@example((sim(paths=1), False))
-@example((sim(paths=_BLOCK - 1, scheme=HedgeScheme.WU_ZHU), True))
-@example((sim(paths=_BLOCK), False))
-@example((sim(paths=_BLOCK + 1, spot=47.0), True))
-@example((sim(paths=2 * _BLOCK + 7, drift=-0.3), False))
-def test_blocked_run_matches_unblocked_reference(run):
-    cfg, with_draws = run
-    draws = normal_draws(cfg.seed + 1, cfg.paths) if with_draws else None
-    expected = reference_run_hedge_sim(cfg, draws)
-    assert bits(run_hedge_sim(cfg, draws)) == bits(expected)
+@example(sim(paths=1))
+@example(sim(paths=_BLOCK - 1, seed=43, scheme=HedgeScheme.WU_ZHU))
+@example(sim(paths=_BLOCK))
+@example(sim(paths=_BLOCK + 1, seed=43, spot=47.0))
+@example(sim(paths=2 * _BLOCK + 7, drift=-0.3))
+def test_blocked_run_matches_unblocked_reference(cfg):
+    assert bits(run_hedge_sim(cfg)) == bits(reference_run_hedge_sim(cfg))
 
 
 def test_true_errors_matches_reference_for_any_shape():
@@ -256,13 +261,13 @@ def test_true_errors_values_several_weight_sets_as_each_alone():
 EXACT_PATHS = (1, 7, 8, 129, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7, 100_003)
 
 
-@pytest.mark.parametrize("with_draws", [False, True], ids=["seeded", "passed"])
+# two streams per path count: seeds ``paths`` and ``paths + 1``
+@pytest.mark.parametrize("seed_offset", [0, 1], ids=["seeded", "passed"])
 @pytest.mark.parametrize("scheme", list(HedgeScheme), ids=lambda s: s.value)
 @pytest.mark.parametrize("paths", EXACT_PATHS)
-def test_streamed_run_is_bit_identical_to_full_arrays(paths, scheme, with_draws):
-    cfg = sim(spot=49.0, paths=paths, seed=paths, scheme=scheme)
-    draws = normal_draws(paths + 1, paths) if with_draws else None
-    assert bits(run_hedge_sim(cfg, draws)) == bits(reference_run_hedge_sim(cfg, draws))
+def test_streamed_run_is_bit_identical_to_full_arrays(paths, scheme, seed_offset):
+    cfg = sim(spot=49.0, paths=paths, seed=paths + seed_offset, scheme=scheme)
+    assert bits(run_hedge_sim(cfg)) == bits(reference_run_hedge_sim(cfg))
 
 
 def test_million_path_run_is_bit_identical_to_full_arrays():
@@ -339,10 +344,10 @@ def test_run_memory_is_bounded_by_one_leaf():
 
 
 def test_runs_sharing_paths_match_their_single_runs():
-    draws = normal_draws(21, 2 * _BLOCK + 3)
+    paths = 2 * _BLOCK + 3
     # spots, drifts and schemes mixed, groups interleaved, one run twice
     cfgs = [
-        sim(paths=draws.size, scheme=s, spot=spot, drift=drift)
+        sim(paths=paths, scheme=s, spot=spot, drift=drift)
         for spot, drift in ((50.0, 0.04), (46.0, 0.04), (50.0, 0.08), (54.0, -0.2))
         for s in HedgeScheme
     ]
@@ -351,7 +356,7 @@ def test_runs_sharing_paths_match_their_single_runs():
     # ask one scheme each; the run's first scheme is wu-zhu
     wu, full = HedgeScheme.WU_ZHU, HedgeScheme.BSM_DUAL
     mixed = [
-        sim(paths=draws.size, scheme=s, spot=spot, drift=drift)
+        sim(paths=paths, scheme=s, spot=spot, drift=drift)
         for spot, drift, s in (
             (48.0, 0.0, wu),
             (52.0, 0.08, full),
@@ -360,9 +365,10 @@ def test_runs_sharing_paths_match_their_single_runs():
             (48.0, 0.08, full),
         )
     ]
-    for case, passed in itertools.product((cfgs, mixed), (None, draws)):
-        shared = run_hedge_sims(case, draws=passed)
-        assert [bits(s) for s in shared] == [bits(run_hedge_sim(c, passed)) for c in case]
+    for case, seed in itertools.product((cfgs, mixed), (42, 21)):
+        case = [dataclasses.replace(c, seed=seed) for c in case]
+        shared = run_hedge_sims(case)
+        assert [bits(s) for s in shared] == [bits(run_hedge_sim(c)) for c in case]
     other_hedge = dataclasses.replace(DEFAULT_HEDGE, vol=0.25)
     for field, value in (("seed", 43), ("paths", 2001), ("hedge", other_hedge)):
         with pytest.raises(ValueError, match="seed, paths and hedge"):
@@ -384,10 +390,8 @@ def counting(monkeypatch, module, name, calls):
     monkeypatch.setattr(module, name, counted)
 
 
-@pytest.mark.parametrize("with_draws", [False, True])
-def test_one_draw_one_solve_one_setup_cost_per_run(with_draws, monkeypatch):
+def test_one_draw_one_solve_one_setup_cost_per_run(monkeypatch):
     paths = 2 * _BLOCK + 7
-    draws = normal_draws(5, paths) if with_draws else None
     calls = dict.fromkeys(("solve_weights", "net_cost", "call_price"), 0)
     drawn, elements = [], []
     counting(monkeypatch, simulate, "solve_weights", calls)
@@ -407,21 +411,11 @@ def test_one_draw_one_solve_one_setup_cost_per_run(with_draws, monkeypatch):
 
     monkeypatch.setattr(simulate, "normal_draws", sized_draws)
     monkeypatch.setattr(hedge, "call_price", sized_call_price)
-    run_hedge_sim(sim(paths=paths), draws=draws)
+    run_hedge_sim(sim(paths=paths))
     # one stream drawn leaf by leaf: every path once, no leaf over _BLOCK
-    assert sum(drawn) == (0 if with_draws else paths)
+    assert sum(drawn) == paths
     assert all(count <= _BLOCK for count in drawn)
     assert calls["solve_weights"] == 1
     assert calls["net_cost"] == 1
     # three hedging calls and the target, per path and once at setup
     assert sum(elements) == 4 * paths + 4
-
-
-def test_draws_passed_in_come_back_unchanged():
-    draws = normal_draws(11, 2 * _BLOCK + 7)
-    kept = draws.copy()
-    draws.flags.writeable = False
-    first = run_hedge_sim(sim(paths=draws.size), draws=draws)
-    second = run_hedge_sim(sim(paths=draws.size, scheme=HedgeScheme.WU_ZHU), draws=draws)
-    assert draws.tobytes() == kept.tobytes()
-    assert first != second

@@ -22,7 +22,6 @@ from dualpricer import (
     lattice_delta,
     lattice_price,
     net_cost,
-    normal_draws,
     price_currency_put_approx,
     price_via_dual,
     run_hedge_sim,
@@ -131,7 +130,6 @@ def test_table7_shares_draws_between_schemes():
     table = TABLE_BUILDERS["t7"](seed=7, paths=300)
     assert len(table.rows) == 10
     assert "300 paths, seed 7" in table.title
-    draws = normal_draws(7, 300)
     row = table.rows[0]
     for scheme, offset in ((HedgeScheme.BSM_DUAL, 2), (HedgeScheme.WU_ZHU, 5)):
         cfg = SimConfig(
@@ -142,7 +140,7 @@ def test_table7_shares_draws_between_schemes():
             hedge=DEFAULT_HEDGE,
             scheme=scheme,
         )
-        summary = run_hedge_sim(cfg, draws=draws)
+        summary = run_hedge_sim(cfg)
         assert row[offset] == pytest.approx(summary.mhe_pct, rel=1e-12)
         assert row[offset + 1] == pytest.approx(summary.mae_pct, rel=1e-12)
         assert row[offset + 2] == pytest.approx(summary.rmse, rel=1e-12)
