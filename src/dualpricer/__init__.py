@@ -60,13 +60,21 @@ from .lattice import (
     lattice_valuation,
     lattice_valuations,
 )
-from .simulate import (
-    SimConfig,
-    SimSummary,
-    gbm_terminal,
-    normal_draws,
-    run_hedge_sim,
-    run_hedge_sims,
-)
 
 __version__ = "0.1.0"
+
+# The Monte-Carlo names are looked up in ``simulate`` on each access, so
+# that ``import dualpricer`` loads neither it nor the scipy.special it
+# imports.  Nothing is cached here: a function rebound in ``simulate``, as
+# a tracer does, is what ``dualpricer`` hands out.
+_SIMULATE = frozenset(
+    {"SimConfig", "SimSummary", "gbm_terminal", "normal_draws", "run_hedge_sim", "run_hedge_sims"}
+)
+
+
+def __getattr__(name):
+    if name in _SIMULATE:
+        from . import simulate
+
+        return getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -25,7 +25,7 @@ from dualpricer import (
     to_dual,
     valuation_via_dual,
 )
-from dualpricer.analytic import _ONE_AT
+from dualpricer.analytic import _MAXLOG, _ONE_AT, _ndtr1
 
 
 def euro(right, strike=40.0, maturity=1.0):
@@ -330,6 +330,35 @@ def test_ndtr_is_exactly_one_from_the_skip_threshold():
         np.array([1e307, math.inf]),
     ):
         assert np.all(ndtr(d) == 1.0)
+
+
+def ulp_sweep(centre, count):
+    """The doubles within ``count`` units in the last place of ``centre``."""
+    bits = np.array(centre).view(np.int64) + np.arange(-count, count + 1)
+    return bits.view(np.float64)
+
+
+def test_scalar_ndtr_keeps_scipys_bits():
+    # bit patterns compared, so 0.0 and -0.0 differ and so does a NaN's
+    # sign: random patterns over the whole double range, NaNs with
+    # payloads among them; the special values and subnormals; and sweeps
+    # across each branch point of z = |a|/sqrt 2 (1, 8, and the underflow
+    # at sqrt(MAXLOG)), on both sides of 0
+    rng = np.random.default_rng(1989)
+    tiny = np.finfo(float).smallest_subnormal
+    subnormals = rng.integers(1, 1 << 52, 1000, dtype=np.uint64).view(np.float64)
+    cases = [
+        rng.integers(0, 1 << 64, 1_000_000, dtype=np.uint64).view(np.float64),
+        np.array([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, tiny, -tiny]),
+        np.concatenate([subnormals, -subnormals]),
+    ]
+    for z in (1.0, 8.0, math.sqrt(_MAXLOG)):
+        a = z * math.sqrt(2.0)
+        cases += [ulp_sweep(a, 200_000), ulp_sweep(-a, 200_000)]
+    for a in cases:
+        port = np.array([_ndtr1(x) for x in a.tolist()])
+        differ = np.nonzero(port.view(np.uint64) != ndtr(a).view(np.uint64))[0]
+        assert differ.size == 0, (differ.size, a[differ[:5]].tolist())
 
 
 WING_TENOR = 5.0 / 365.0
