@@ -12,7 +12,6 @@ from .analytic import (
     MarketState,
     OptionRight,
     OptionSpec,
-    bsm_price,
     bsm_valuation,
     call_price,
     d1_d2,

@@ -6,8 +6,7 @@ same formulas the Garman-Kohlhagen prices.  Every number comes from one
 broadcasting ``d1_d2`` and one price expression per right:
 ``call_price``/``put_price`` evaluate it over arrays, and
 ``bsm_valuation`` gives the price, delta and gamma of one contract from a
-single d1.  ``bsm_price`` is its price alone; a Greek is an index into the
-valuation.
+single d1; the price or a Greek alone is an index into that valuation.
 
 The normal CDF is scipy's ``ndtr``, bit for bit, by two routes.  One
 double, as ``bsm_valuation`` and the scalar hedge reports value it, goes
@@ -36,7 +35,6 @@ __all__ = [
     "call_price",
     "put_price",
     "bsm_valuation",
-    "bsm_price",
 ]
 
 
@@ -289,8 +287,3 @@ def bsm_valuation(spec: OptionSpec, mkt: MarketState) -> tuple[float, float, flo
     if not all(map(math.isfinite, (d1, price, delta, gamma))):
         raise _out_of_range(spec, mkt)
     return float(price), float(delta), float(gamma)
-
-
-def bsm_price(spec: OptionSpec, mkt: MarketState) -> float:
-    """Closed-form price of a European option; see ``bsm_valuation``."""
-    return bsm_valuation(spec, mkt)[0]

@@ -71,7 +71,7 @@ class AnalyticEngine:
     """Closed-form European engine; rejects American style."""
 
     def prices(self, pairs) -> list[float]:
-        return [analytic.bsm_price(spec, mkt) for spec, mkt in pairs]
+        return [analytic.bsm_valuation(spec, mkt)[0] for spec, mkt in pairs]
 
     def valuations(self, pairs) -> list[tuple[float, float, float]]:
         return [analytic.bsm_valuation(spec, mkt) for spec, mkt in pairs]
@@ -188,6 +188,6 @@ def price_currency_put_approx(
             f"{spec.style.value} {spec.right.value}"
         )
     european = replace(spec, style=ExerciseStyle.EUROPEAN)
-    price = analytic.bsm_price(european, mkt)
+    price = analytic.bsm_valuation(european, mkt)[0]
     exact = mkt.rate <= 0 <= mkt.dividend_yield
     return price, Exactness.EXACT if exact else Exactness.APPROXIMATION

@@ -28,9 +28,10 @@ __all__ = ["load_file"]
 def load_file(path: str) -> dict[str, str]:
     """The file's ``key -> value`` pairs, ``command`` included.
 
-    A file over 64 KiB or not UTF-8, a line that is not ``key = value``, a
-    key that is empty, holds whitespace or is repeated, and a file with no
-    ``command`` raise ``PricingError``.
+    A leading UTF-8 byte-order mark is skipped.  A file over 64 KiB or not
+    UTF-8, a line that is not ``key = value``, a key that is empty, holds
+    whitespace or is repeated, and a file with no ``command`` raise
+    ``PricingError``.
     """
     limit = 1 << 16
     with open(path, "rb") as fh:
@@ -38,7 +39,7 @@ def load_file(path: str) -> dict[str, str]:
     if len(data) > limit:
         raise PricingError(f"experiment file {path!r} is over {limit} bytes")
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise PricingError(f"experiment file {path!r} is not UTF-8: {exc}") from None
     values: dict[str, str] = {}

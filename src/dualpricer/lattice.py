@@ -118,11 +118,11 @@ def _nodes(spots, strikes, up, prob_ups, discounts, steps, is_calls, american):
     trees = _kernel.induct(spots, strikes, up, prob_ups, discounts, steps, is_calls, american)
     # Greeks read the step-1 and step-2 nodes; a one-step tree has no step 2.
     used = 6 if steps >= 2 else 3
-    for spot, strike, nodes in zip(spots, strikes, trees):
+    for spot, strike, is_call, nodes in zip(spots, strikes, is_calls, trees):
         if not all(map(math.isfinite, nodes[:used])):
             raise PricingError(
-                f"tree values leave the float range at {steps} steps "
-                f"(spot {spot:g}, strike {strike:g})"
+                f"{'call' if is_call else 'put'} tree values leave the float range at "
+                f"{steps} steps (spot {spot:g}, strike {strike:g})"
             )
     return trees
 
@@ -194,7 +194,7 @@ def lattice_valuations(
         # a subnormal spacing has lost its digits, or is 0
         if min(step1, s_up - mkt.spot, mkt.spot - s_dn) < sys.float_info.min:
             raise PricingError(
-                f"tree node spacing is below the normal float range at {steps} "
+                f"{spec.right.value} tree node spacing is below the normal float range at {steps} "
                 f"steps (spot {mkt.spot:g}, strike {spec.strike:g})"
             )
         delta = (v11 - v10) / step1
@@ -203,7 +203,7 @@ def lattice_valuations(
         gamma = (slope_up - slope_dn) / (0.5 * (s_up - s_dn))
         if not (math.isfinite(delta) and math.isfinite(gamma)):
             raise PricingError(
-                f"tree Greeks leave the float range at {steps} steps "
+                f"{spec.right.value} tree Greeks leave the float range at {steps} steps "
                 f"(spot {mkt.spot:g}, strike {spec.strike:g})"
             )
         out.append((v00, delta, gamma))

@@ -16,10 +16,10 @@ A run walks numpy's pairwise-summation tree over its paths (see
 draws, moves, values and sums that leaf alone; the leaf sums are added
 back up the tree in numpy's order.  The summaries are therefore the bits
 ``np.mean`` gives over full-length arrays, while peak memory stays
-bounded by one leaf whatever the path count.  The leaf's arrays are
-allocated once per run and every step writes into them, so the heap is
-not trimmed and faulted back in between leaves.  Runs are capped at
-``MAX_PATHS`` paths.  A summary out of the float range raises
+bounded by one leaf whatever the path count.  The leaf's path-length
+arrays are allocated once per run and every step writes into them, so
+the heap is not trimmed and faulted back in between leaves.  Runs are
+capped at ``MAX_PATHS`` paths.  A summary out of the float range raises
 ``PricingError``, checked on its three values, not per path.
 """
 
@@ -117,7 +117,7 @@ def normal_draws(source, count: int, *, out=None) -> np.ndarray:
     return ndtri(uniforms, out=out)
 
 
-def _tree_sums(leaf_sums, count: int) -> list:
+def _tree_sums(leaf_sums, count: int) -> np.ndarray:
     """Sums over the indices [0, count), added in ``np.add.reduce``'s order.
 
     numpy sums a contiguous float64 array pairwise: a stretch longer than
@@ -125,12 +125,13 @@ def _tree_sums(leaf_sums, count: int) -> list:
     of its left part to that of its right (Higham, SIAM J. Sci. Comput.
     1993), and the reduction adds its result to the identity 0.0.  This
     walks the same tree down to leaves of at most ``_BLOCK`` indices, in
-    index order, calls ``leaf_sums(start, count)`` once per leaf for a list
-    of sums each taken with ``np.add.reduce``, and adds those lists back up
-    the tree.  Each sum therefore has the bits ``np.add.reduce`` gives over
-    the whole index range, and only one leaf is ever alive.
+    index order, calls ``leaf_sums(start, count)`` once per leaf for an
+    array of sums each taken with ``np.add.reduce``, and adds those arrays
+    elementwise back up the tree.  Each sum therefore has the bits
+    ``np.add.reduce`` gives over the whole index range, and only one leaf is
+    ever alive.
     """
-    return [0.0 + total for total in _tree(leaf_sums, 0, count)]
+    return np.add(0.0, _tree(leaf_sums, 0, count))
 
 
 def _tree(leaf_sums, start, count):
@@ -141,7 +142,7 @@ def _tree(leaf_sums, start, count):
     half = count // 2
     half -= half % 8
     left = _tree(leaf_sums, start, half)
-    return [a + b for a, b in zip(left, _tree(leaf_sums, start + half, count - half))]
+    return np.add(left, _tree(leaf_sums, start + half, count - half))
 
 
 def run_hedge_sim(cfg: SimConfig) -> SimSummary:
@@ -179,9 +180,10 @@ def _run(cfgs) -> tuple:
     normals once, from the seed's Philox stream; per move, it moves
     them with ``gbm_terminal``, values them with ``true_errors`` and sums,
     per weight set, the ratios of error to hedged-call price, their
-    absolute values and the squared errors, which ``_tree_sums`` adds up.
-    A run reads its sums at ``3 * (len(schemes) * move + scheme)``.  Every
-    step writes into leaf-sized rows allocated once per run.
+    absolute values and the squared errors into a (move, scheme, statistic)
+    array, which ``_tree_sums`` adds up.  A run reads its means at its
+    (move, scheme).  Every step writes into leaf-sized rows allocated once
+    per run.
     Private, so that a traced run charges its time to the public entry.
     """
     cfg = cfgs[0]
@@ -201,27 +203,26 @@ def _run(cfgs) -> tuple:
     def leaf_sums(start, count):
         drawn, spots, *valuation = work[:, :count]
         normal_draws(rng, count, out=drawn)
-        sums = []
-        for spot, drift in moves:
-            with np.errstate(over="ignore"):  # true_errors rejects the inf spots
-                gbm_terminal(spot, drift, hedge.vol, hedge.horizon, drawn, out=spots)
+        sums = np.empty((len(moves), len(schemes), 3))
+        for move, (spot, drift) in enumerate(moves):
+            gbm_terminal(spot, drift, hedge.vol, hedge.horizon, drawn, out=spots)
             errors, target = true_errors(hedge, weight_sets, costs[spot], spots, valuation)
-            with np.errstate(all="ignore"):  # a summary out of the float range raises below
-                for err in errors:
-                    # the spots are valued, so their row takes the ratios
-                    ratios = np.divide(err, target, out=spots)
-                    sums += [
-                        float(np.add.reduce(ratios)),
-                        float(np.add.reduce(np.abs(ratios, out=ratios))),
-                        float(np.add.reduce(np.square(err, out=err))),
-                    ]
+            for row, err in zip(sums[move], errors):
+                # the spots are valued, so their row takes the ratios
+                ratios = np.divide(err, target, out=spots)
+                row[0] = np.add.reduce(ratios)
+                row[1] = np.add.reduce(np.abs(ratios, out=ratios))
+                row[2] = np.add.reduce(np.square(err, out=err))
         return sums
 
-    means = [total / cfg.paths for total in _tree_sums(leaf_sums, cfg.paths)]
+    # true_errors rejects inf spots, and a summary out of the float range raises below
+    with np.errstate(all="ignore"):
+        means = _tree_sums(leaf_sums, cfg.paths) / cfg.paths
     summaries = []
     for c in cfgs:
-        k = 3 * (len(schemes) * moves.index((c.spot, c.drift)) + schemes.index(c.scheme))
-        mhe, mae, rmse = 100.0 * means[k], 100.0 * means[k + 1], math.sqrt(means[k + 2])
+        move, scheme = moves.index((c.spot, c.drift)), schemes.index(c.scheme)
+        ratio, absolute, square = means[move, scheme].tolist()
+        mhe, mae, rmse = 100.0 * ratio, 100.0 * absolute, math.sqrt(square)
         if not all(map(math.isfinite, (mhe, mae, rmse))):
             raise PricingError(f"simulated hedge errors leave the float range (spot {c.spot:g})")
         summaries.append(SimSummary(mhe_pct=mhe, mae_pct=mae, rmse=rmse, paths=cfg.paths))

@@ -186,7 +186,7 @@ def table3(steps: int = 365) -> TableData:
                 mkt.rate,
                 mkt.spot,
                 american,
-                float(approx),
+                approx,
                 tag.value,
                 100.0 * (approx - american) / american,
             )

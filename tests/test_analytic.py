@@ -17,7 +17,6 @@ from dualpricer import (
     OptionSpec,
     PricingError,
     UnsupportedStyleError,
-    bsm_price,
     bsm_valuation,
     call_price,
     d1_d2,
@@ -101,13 +100,13 @@ def test_option_spec_validation():
 )
 def test_call_price_golden(strike, expected):
     mkt = MarketState(40.0, 0.06, 0.0, 0.40)
-    price = bsm_price(euro(OptionRight.CALL, strike=strike), mkt)
+    price = bsm_valuation(euro(OptionRight.CALL, strike=strike), mkt)[0]
     assert price == pytest.approx(expected, abs=5e-4)
 
 
 def test_deep_itm_call_limit():
     mkt = MarketState(80.0, 0.04, 0.01, 0.001)
-    price = bsm_price(euro(OptionRight.CALL, strike=40.0), mkt)
+    price = bsm_valuation(euro(OptionRight.CALL, strike=40.0), mkt)[0]
     forward_intrinsic = 80.0 * math.exp(-0.01) - 40.0 * math.exp(-0.04)
     assert price == pytest.approx(forward_intrinsic, rel=1e-12)
 
@@ -140,9 +139,8 @@ def test_valuation_beyond_float_range_raises(mkt, strike, right):
 def test_rejects_american_style():
     mkt = MarketState(40.0, 0.06, 0.0, 0.40)
     spec = OptionSpec(OptionRight.PUT, ExerciseStyle.AMERICAN, 40.0, 1.0)
-    for fn in (bsm_valuation, bsm_price):
-        with pytest.raises(UnsupportedStyleError):
-            fn(spec, mkt)
+    with pytest.raises(UnsupportedStyleError):
+        bsm_valuation(spec, mkt)
 
 
 def test_put_call_parity_random():
@@ -172,9 +170,11 @@ def test_delta_gamma_match_finite_differences(right):
         h = 1e-4 * spot[i]
         up = MarketState(spot[i] + h, rate[i], div[i], vol[i])
         dn = MarketState(spot[i] - h, rate[i], div[i], vol[i])
-        fd_delta = (bsm_price(spec, up) - bsm_price(spec, dn)) / (2 * h)
+        fd_delta = (bsm_valuation(spec, up)[0] - bsm_valuation(spec, dn)[0]) / (2 * h)
         fd_gamma = (
-            bsm_price(spec, up) - 2 * bsm_price(spec, mkt) + bsm_price(spec, dn)
+            bsm_valuation(spec, up)[0]
+            - 2 * bsm_valuation(spec, mkt)[0]
+            + bsm_valuation(spec, dn)[0]
         ) / h**2
         assert bsm_valuation(spec, mkt)[1] == pytest.approx(fd_delta, rel=1e-6)
         assert bsm_valuation(spec, mkt)[2] == pytest.approx(fd_gamma, rel=1e-6)
@@ -410,18 +410,10 @@ def europeans(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(europeans())
-def test_valuation_is_price_delta_gamma(contract):
-    # bsm_price is the one projection left; a Greek is an index into the tuple
-    spec, mkt = contract
-    assert bsm_valuation(spec, mkt)[0] == bsm_price(spec, mkt)
-
-
-@settings(max_examples=200, deadline=None)
-@given(europeans())
 def test_put_call_parity_property(contract):
     spec, mkt = contract
-    call = bsm_price(euro(OptionRight.CALL, spec.strike, spec.maturity), mkt)
-    put = bsm_price(euro(OptionRight.PUT, spec.strike, spec.maturity), mkt)
+    call = bsm_valuation(euro(OptionRight.CALL, spec.strike, spec.maturity), mkt)[0]
+    put = bsm_valuation(euro(OptionRight.PUT, spec.strike, spec.maturity), mkt)[0]
     forward = mkt.spot * math.exp(-mkt.dividend_yield * spec.maturity) - spec.strike * (
         math.exp(-mkt.rate * spec.maturity)
     )

@@ -154,6 +154,17 @@ def test_price_beyond_float_range_fails(argv, capsys):
     assert not re.search(r"\b(nan|inf)\b", err)
 
 
+def test_dual_tree_failure_names_its_right(capsys):
+    # the dual of this call is a put on spot 5e-324 struck at 100, and
+    # the message quotes that tree's spot and strike
+    argv = ["--style", "american", "--right", "call", "-S", "100", "-K", "5e-324", "-r", "0.05",
+            "--vol", "0.5", "-T", "1", "--greeks", "--dual"]
+    rc, out, err = run(["price", *argv], capsys)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: put tree ") and "(spot 4.94066e-324, strike 100)" in err
+
+
 EXTREMES = (
     0.0, 5e-324, 1e-310, 1e-300, -1e-300, 1e300, -1e300, math.inf, -math.inf, math.nan
 )
@@ -617,6 +628,16 @@ def test_hedge_config_not_utf8(tmp_path, capsys):
     assert rc == 1
     assert out == ""
     assert err.startswith("error:") and "UTF-8" in err
+
+
+def test_hedge_config_with_byte_order_mark(tmp_path, capsys):
+    # some editors start a UTF-8 file with a byte-order mark
+    text = "command = hedge\nKd = 40\n"
+    plain = run(["hedge", "--config", str(write_config(tmp_path, text))], capsys)
+    marked = tmp_path / "marked.exp"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert plain[0] == 0
+    assert run(["hedge", "--config", str(marked)], capsys) == plain
 
 
 def test_experiment_file_over_64_kib_is_rejected(tmp_path, capsys):

@@ -18,7 +18,6 @@ from dualpricer import (
     OptionSpec,
     PricingError,
     UnsupportedStyleError,
-    bsm_price,
     bsm_valuation,
     call_price,
     delta_via_dual,
@@ -90,7 +89,7 @@ def test_analytic_dual_price_identity(right):
             float(rng.uniform(-0.02, 0.1)),
             float(rng.uniform(0.1, 0.6)),
         )
-        direct = bsm_price(spec, mkt)
+        direct = bsm_valuation(spec, mkt)[0]
         assert price_via_dual(spec, mkt, engine) == pytest.approx(direct, abs=1e-12)
 
 
@@ -215,7 +214,7 @@ def test_dual_delta_is_strike_derivative():
         - put_value(mkt, spec.strike - h, spec.maturity)
     ) / (2 * h)
     assert dual_delta == pytest.approx(fd, rel=1e-4)
-    value = bsm_price(spec, mkt)
+    value = bsm_valuation(spec, mkt)[0]
     euler = mkt.spot * bsm_valuation(spec, mkt)[1] + spec.strike * dual_delta
     assert euler == pytest.approx(value, rel=1e-10)
 

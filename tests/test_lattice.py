@@ -16,7 +16,6 @@ from dualpricer import (
     OptionRight,
     OptionSpec,
     PricingError,
-    bsm_price,
     bsm_valuation,
     build_lattice,
     lattice_delta,
@@ -112,7 +111,7 @@ def test_european_price_converges_to_closed_form(spot):
     mkt = MarketState(spot, 0.06, 0.0, 0.40)
     spec = european(OptionRight.PUT)
     assert lattice_price(spec, mkt, 365) == pytest.approx(
-        bsm_price(spec, mkt), abs=5e-3
+        bsm_valuation(spec, mkt)[0], abs=5e-3
     )
 
 

@@ -88,6 +88,7 @@ def test_run_is_deterministic():
     second = run_hedge_sim(sim())
     assert first == second
     assert first.paths == 2000
+    assert {type(v) for v in (first.mhe_pct, first.mae_pct, first.rmse)} == {float}
 
 
 def test_single_zero_draw_reduces_to_known_spot_report(monkeypatch):
