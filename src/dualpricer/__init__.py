@@ -14,7 +14,6 @@ from .analytic import (
     OptionSpec,
     bsm_valuation,
     call_price,
-    d1_d2,
     put_price,
 )
 from .duality import (

@@ -2,11 +2,12 @@
 
 The model is Black-Scholes-Merton with a continuous dividend yield.  For
 currency options the yield slot carries the foreign rate, which makes the
-same formulas the Garman-Kohlhagen prices.  Every number comes from one
-broadcasting ``d1_d2`` and one price expression per right:
-``call_price``/``put_price`` evaluate it over arrays, and
-``bsm_valuation`` gives the price, delta and gamma of one contract from a
-single d1; the price or a Greek alone is an index into that valuation.
+same formulas the Garman-Kohlhagen prices.  The closed form has three
+entries: ``call_price`` and ``put_price`` value arrays, and
+``bsm_valuation`` gives the price, delta and gamma of one contract; the
+price or a Greek alone is an index into that valuation.  Each takes d1
+and d2 from one internal broadcasting step and prices with one
+expression per right.
 
 The normal CDF is scipy's ``ndtr``, bit for bit, by two routes.  One
 double, as ``bsm_valuation`` and the scalar hedge reports value it, goes
@@ -31,7 +32,6 @@ __all__ = [
     "ExerciseStyle",
     "MarketState",
     "OptionSpec",
-    "d1_d2",
     "call_price",
     "put_price",
     "bsm_valuation",
@@ -89,7 +89,7 @@ class OptionSpec:
         _require_finite_positive(self, ("strike", "maturity"))
 
 
-def d1_d2(spot, strike, rate, dividend_yield, vol, maturity, *, out=None, scratch=None):
+def _d1_d2(spot, strike, rate, dividend_yield, vol, maturity, *, out=None, scratch=None):
     """Standard normal arguments of the closed-form price; broadcasts.
 
     d1 = [ln(S/K) + (r - q + sigma^2/2) T] / (sigma sqrt(T)), d2 = d1 - sigma sqrt(T).
@@ -221,7 +221,7 @@ def call_price(
     path, ``ndtr`` is evaluated only where d2 < ``_ONE_AT``; everywhere
     else N(d1) and N(d2) are 1.0, which is what ``ndtr`` returns there.
     """
-    d1, d2 = d1_d2(
+    d1, d2 = _d1_d2(
         spot, strike, rate, dividend_yield, vol, maturity, out=out, scratch=scratch
     )
     if out is None:
@@ -247,7 +247,7 @@ def call_price(
 
 def put_price(spot, strike, rate, dividend_yield, vol, maturity):
     """European put value; broadcasts over array arguments."""
-    d1, d2 = d1_d2(spot, strike, rate, dividend_yield, vol, maturity)
+    d1, d2 = _d1_d2(spot, strike, rate, dividend_yield, vol, maturity)
     return _price(False, d1, d2, spot, strike, rate, dividend_yield, maturity)
 
 
@@ -276,7 +276,7 @@ def bsm_valuation(spec: OptionSpec, mkt: MarketState) -> tuple[float, float, flo
     rate, dividend_yield = mkt.rate, mkt.dividend_yield
     with np.errstate(all="ignore"):
         try:
-            d1, d2 = d1_d2(spot, strike, rate, dividend_yield, mkt.vol, maturity)
+            d1, d2 = _d1_d2(spot, strike, rate, dividend_yield, mkt.vol, maturity)
         except OverflowError:  # vol**2 beyond the float range
             raise _out_of_range(spec, mkt) from None
         price = _price(is_call, d1, d2, spot, strike, rate, dividend_yield, maturity)

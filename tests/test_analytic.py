@@ -19,12 +19,11 @@ from dualpricer import (
     UnsupportedStyleError,
     bsm_valuation,
     call_price,
-    d1_d2,
     put_price,
     to_dual,
     valuation_via_dual,
 )
-from dualpricer.analytic import _MAXLOG, _ONE_AT, _ndtr1
+from dualpricer.analytic import _MAXLOG, _ONE_AT, _d1_d2, _ndtr1
 
 
 def euro(right, strike=40.0, maturity=1.0):
@@ -45,13 +44,13 @@ def random_params(seed, count):
 
 
 def test_d1_d2_atm_symmetric():
-    d1, d2 = d1_d2(100.0, 100.0, 0.03, 0.03, 0.2, 1.0)
+    d1, d2 = _d1_d2(100.0, 100.0, 0.03, 0.03, 0.2, 1.0)
     assert d1 == pytest.approx(0.1, abs=1e-15)
     assert d2 == pytest.approx(-0.1, abs=1e-15)
 
 
 def test_d1_d2_frozen_value():
-    d1, d2 = d1_d2(50.0, 50.0, 0.05, 0.01, 0.20, 0.5)
+    d1, d2 = _d1_d2(50.0, 50.0, 0.05, 0.01, 0.20, 0.5)
     assert d1 == pytest.approx(0.2121320343559642, abs=1e-15)
     assert d2 == pytest.approx(0.07071067811865467, abs=1e-15)
 
@@ -59,13 +58,13 @@ def test_d1_d2_frozen_value():
 def test_d1_d2_difference_is_sig_sqrt_t():
     for seed in range(5):
         spot, strike, rate, div, vol, mat = random_params(seed, 50)
-        d1, d2 = d1_d2(spot, strike, rate, div, vol, mat)
+        d1, d2 = _d1_d2(spot, strike, rate, div, vol, mat)
         assert d1 - d2 == pytest.approx(vol * np.sqrt(mat), rel=1e-12)
 
 
 def test_d1_d2_dual_negation():
-    d1, d2 = d1_d2(50.0, 42.0, 0.05, 0.01, 0.20, 0.5)
-    dual_d1, dual_d2 = d1_d2(42.0, 50.0, 0.01, 0.05, 0.20, 0.5)
+    d1, d2 = _d1_d2(50.0, 42.0, 0.05, 0.01, 0.20, 0.5)
+    dual_d1, dual_d2 = _d1_d2(42.0, 50.0, 0.01, 0.05, 0.20, 0.5)
     assert dual_d1 == pytest.approx(-d2, abs=1e-12)
     assert dual_d2 == pytest.approx(-d1, abs=1e-12)
 
@@ -376,7 +375,7 @@ BUFFERED_CASES = {
 def test_buffered_call_price_keeps_the_bits(case):
     spots, strike, maturity = BUFFERED_CASES[case]
     args = (spots, strike, 0.05, 0.01, 0.2, maturity)
-    d2 = d1_d2(*args)[1]
+    d2 = _d1_d2(*args)[1]
     reaches = (np.min(d2) < _ONE_AT, _ONE_AT <= np.max(d2))
     assert reaches == {"below": (True, False), "deep-0d": (False, True)}.get(case, (True, True))
     kept = spots.copy()

@@ -137,3 +137,34 @@ def test_traced_passes_see_a_kernel_call_in_each_tree_table(tmp_path, capsys):
     metrics = tracing.layer_metrics(tracer.spans, 2, len(commands))
     calls = {name: metrics[f"kernel.calls.{name}"] for name in ("t1", "t2", "t3")}
     assert all(count > 0 for count in calls.values()), calls
+
+
+def test_traced_pass_books_closed_form_work_in_the_valuation_that_asked(tmp_path, capsys):
+    # the smoke run needs each analytic metric above 0 on some workload, and
+    # a span nested in another analytic span would move its self time out of
+    # the valuation that asked for it
+    commands = stored_commands(tmp_path)
+    tracing = load_tracer()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install("dualpricer")
+        for label, argv in commands:
+            tracer.request = (0, label)
+            assert cli.main(argv) == 0, label
+        tracer.request = None
+    finally:
+        tracer.disable()
+    capsys.readouterr()
+    spans = tracer.spans
+    nested = {
+        (spans[s.parent].name, s.name)
+        for s in spans
+        if s.name.startswith("analytic.")
+        and s.parent >= 0
+        and spans[s.parent].name.startswith("analytic.")
+    }
+    assert nested == set()
+    metrics = tracing.layer_metrics(spans, 1, len(commands))
+    names = ("scalar_calls", "scalar_self_s", "vector_elems", "vector_self_s")
+    moved = {name: metrics.get(f"analytic.{name}", 0.0) for name in names}
+    assert all(value > 0 for value in moved.values()), moved
