@@ -14,7 +14,6 @@ from .analytic import (
     OptionSpec,
     bsm_valuation,
     call_price,
-    put_price,
 )
 from .duality import (
     AnalyticEngine,
@@ -55,7 +54,6 @@ from .lattice import (
     lattice_gamma,
     lattice_price,
     lattice_prices,
-    lattice_valuation,
     lattice_valuations,
 )
 

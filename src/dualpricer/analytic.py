@@ -2,11 +2,12 @@
 
 The model is Black-Scholes-Merton with a continuous dividend yield.  For
 currency options the yield slot carries the foreign rate, which makes the
-same formulas the Garman-Kohlhagen prices.  The closed form has three
-entries: ``call_price`` and ``put_price`` value arrays, and
-``bsm_valuation`` gives the price, delta and gamma of one contract; the
-price or a Greek alone is an index into that valuation.  Each takes d1
-and d2 from one internal broadcasting step and prices with one
+same formulas the Garman-Kohlhagen prices.  The closed form has two
+entries: ``call_price`` values arrays of calls, and ``bsm_valuation``
+gives the price, delta and gamma of one contract of either right; the
+price or a Greek alone is an index into that valuation.  A put over
+arrays is its dual call, put(S, K, r, q) = call(K, S, q, r).  Both take
+d1 and d2 from one internal broadcasting step and price with one
 expression per right.
 
 The normal CDF is scipy's ``ndtr``, bit for bit, by two routes.  One
@@ -33,7 +34,6 @@ __all__ = [
     "MarketState",
     "OptionSpec",
     "call_price",
-    "put_price",
     "bsm_valuation",
 ]
 
@@ -243,12 +243,6 @@ def call_price(
     view[rest] *= n1
     np.multiply(strike * np.exp(-rate * maturity), d2, out=d2)
     return np.subtract(out, d2, out=out)
-
-
-def put_price(spot, strike, rate, dividend_yield, vol, maturity):
-    """European put value; broadcasts over array arguments."""
-    d1, d2 = _d1_d2(spot, strike, rate, dividend_yield, vol, maturity)
-    return _price(False, d1, d2, spot, strike, rate, dividend_yield, maturity)
 
 
 def _out_of_range(spec: OptionSpec, mkt: MarketState) -> PricingError:

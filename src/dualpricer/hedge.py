@@ -209,7 +209,7 @@ def solve_weights(cfg: HedgeConfig, scheme: HedgeScheme) -> HedgeWeights:
         raise _overflow(hs) from None
     rhs = (1.0, 0.0, 1.0)
     det = _det3(matrix)
-    if math.isinf(det):
+    if not math.isfinite(det):  # inf, or NaN from inf - inf
         raise _overflow(hs)
     if not abs(det) >= 1e-12:
         raise SingularHedgeSystem(
@@ -379,7 +379,7 @@ def true_errors(cfg: HedgeConfig, weight_sets, costs, spots_at_horizon, work=Non
     return [_less_carried(cfg, d, c, d) for d, c in zip(diffs, costs)], target
 
 
-def true_error(cfg: HedgeConfig, weight_sets, spot_at_0, spot_at_Th) -> list:
+def true_error(cfg: HedgeConfig, weight_sets, spot_at_0, spot_at_Th) -> list[HedgeReport]:
     """One full error report per weight set for known setup and horizon spots.
 
     Broadcasts like ``call_price``: the gross fields are shaped like the

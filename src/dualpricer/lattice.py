@@ -13,7 +13,7 @@ and step discount, and each group is one kernel call over the tuples of
 those per-tree values.  The up factor depends only on vol, maturity and
 steps, so a put and the call on its swapped problem are one group, and so
 are puts that differ only in their rates.  Each tree gets the bits it gets
-alone.  ``lattice_price`` and ``lattice_valuation`` are the one-pair case.
+alone.  ``lattice_price`` is the one-pair case of ``lattice_prices``.
 
 The last kernel call is memoized, keyed on its eight arguments, and the
 memo holds that call's tuple of per-tree node values.  So price, delta and
@@ -53,7 +53,6 @@ __all__ = [
     "build_lattice",
     "lattice_price",
     "lattice_prices",
-    "lattice_valuation",
     "lattice_valuations",
     "lattice_delta",
     "lattice_gamma",
@@ -116,10 +115,12 @@ def build_lattice(mkt: MarketState, maturity: float, steps: int) -> LatticeParam
 @functools.lru_cache(maxsize=1)
 def _nodes(spots, strikes, up, prob_ups, discounts, steps, is_calls, american):
     trees = _kernel.induct(spots, strikes, up, prob_ups, discounts, steps, is_calls, american)
-    # Greeks read the step-1 and step-2 nodes; a one-step tree has no step 2.
-    used = 6 if steps >= 2 else 3
+    # Greeks read the step-1 and step-2 nodes, but the root alone is checked:
+    # a node is discount * (p * up + (1 - p) * down), every factor >= 0, so
+    # an inf or NaN node leaves each node it feeds inf or NaN (0 * inf is
+    # NaN), and np.maximum passes NaN on.
     for spot, strike, is_call, nodes in zip(spots, strikes, is_calls, trees):
-        if not all(map(math.isfinite, nodes[:used])):
+        if not math.isfinite(nodes[0]):
             raise PricingError(
                 f"{'call' if is_call else 'put'} tree values leave the float range at "
                 f"{steps} steps (spot {spot:g}, strike {strike:g})"
@@ -210,19 +211,11 @@ def lattice_valuations(
     return out
 
 
-def lattice_valuation(
-    spec: OptionSpec, mkt: MarketState, steps: int
-) -> tuple[float, float, float]:
-    """Price, delta and gamma of one option from one induction; see
-    ``lattice_valuations``."""
-    return lattice_valuations([(spec, mkt)], steps)[0]
-
-
 def lattice_delta(spec: OptionSpec, mkt: MarketState, steps: int) -> float:
-    """Tree delta, quoted at time 0; see ``lattice_valuation``."""
-    return lattice_valuation(spec, mkt, steps)[1]
+    """Tree delta, quoted at time 0; see ``lattice_valuations``."""
+    return lattice_valuations([(spec, mkt)], steps)[0][1]
 
 
 def lattice_gamma(spec: OptionSpec, mkt: MarketState, steps: int) -> float:
-    """Tree gamma, quoted at time 0; see ``lattice_valuation``."""
-    return lattice_valuation(spec, mkt, steps)[2]
+    """Tree gamma, quoted at time 0; see ``lattice_valuations``."""
+    return lattice_valuations([(spec, mkt)], steps)[0][2]

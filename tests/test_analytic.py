@@ -19,7 +19,6 @@ from dualpricer import (
     UnsupportedStyleError,
     bsm_valuation,
     call_price,
-    put_price,
     to_dual,
     valuation_via_dual,
 )
@@ -28,6 +27,16 @@ from dualpricer.analytic import _MAXLOG, _ONE_AT, _d1_d2, _ndtr1
 
 def euro(right, strike=40.0, maturity=1.0):
     return OptionSpec(right, ExerciseStyle.EUROPEAN, strike, maturity)
+
+
+def put_values(spot, strike, rate, div, vol, mat):
+    """Closed-form puts over arrays, one ``bsm_valuation`` per element."""
+    return np.array(
+        [
+            bsm_valuation(euro(OptionRight.PUT, k, t), MarketState(s, r, q, v))[0]
+            for s, k, r, q, v, t in np.broadcast(spot, strike, rate, div, vol, mat)
+        ]
+    )
 
 
 def random_params(seed, count):
@@ -145,18 +154,18 @@ def test_rejects_american_style():
 def test_put_call_parity_random():
     spot, strike, rate, div, vol, mat = random_params(7, 500)
     call = call_price(spot, strike, rate, div, vol, mat)
-    put = put_price(spot, strike, rate, div, vol, mat)
+    put = put_values(spot, strike, rate, div, vol, mat)
     forward = spot * np.exp(-div * mat) - strike * np.exp(-rate * mat)
     assert np.max(np.abs(call - put - forward)) < 1e-12
 
 
 def test_dual_equality_both_directions():
     spot, strike, rate, div, vol, mat = random_params(11, 500)
-    put = put_price(spot, strike, rate, div, vol, mat)
+    put = put_values(spot, strike, rate, div, vol, mat)
     dual_call = call_price(strike, spot, div, rate, vol, mat)
     assert np.max(np.abs(put - dual_call)) < 1e-12
     call = call_price(spot, strike, rate, div, vol, mat)
-    dual_put = put_price(strike, spot, div, rate, vol, mat)
+    dual_put = put_values(strike, spot, div, rate, vol, mat)
     assert np.max(np.abs(call - dual_put)) < 1e-12
 
 
@@ -212,7 +221,7 @@ def _strike_fd(prices_fn, spot, strike, rate, div, vol, mat, h):
 def test_euler_relation_european():
     spot, strike, rate, div, vol, mat = random_params(17, 400)
     h = 1e-5 * strike
-    for fn, delta_sign in ((call_price, OptionRight.CALL), (put_price, OptionRight.PUT)):
+    for fn, delta_sign in ((call_price, OptionRight.CALL), (put_values, OptionRight.PUT)):
         value = fn(spot, strike, rate, div, vol, mat)
         dv_dk = _strike_fd(fn, spot, strike, rate, div, vol, mat, h)
         if fn is call_price:
@@ -243,7 +252,7 @@ def test_euler_relation_european():
 def test_second_derivative_identity():
     spot, strike, rate, div, vol, mat = random_params(19, 400)
     h = 1e-3 * strike
-    for fn in (call_price, put_price):
+    for fn in (call_price, put_values):
         up = fn(spot, strike + h, rate, div, vol, mat)
         mid = fn(spot, strike, rate, div, vol, mat)
         dn = fn(spot, strike - h, rate, div, vol, mat)
@@ -310,10 +319,12 @@ def wide_inputs():
 def test_prices_match_reference_bit_for_bit(rows):
     for row in rows:
         assert bits(call_price(*row)) == bits(reference_call_price(*row))
-        assert bits(put_price(*row)) == bits(reference_put_price(*row))
+        spot, strike, rate, div, vol, mat = row
+        mkt = MarketState(spot, rate, div, vol)
+        put = bsm_valuation(euro(OptionRight.PUT, strike, mat), mkt)[0]
+        assert bits(put) == bits(reference_put_price(*row))
     columns = [np.array(column) for column in zip(*rows)]
     assert bits(call_price(*columns)) == bits(reference_call_price(*columns))
-    assert bits(put_price(*columns)) == bits(reference_put_price(*columns))
     out, scratch = np.empty(len(rows)), np.empty(len(rows))
     buffered = call_price(*columns, out=out, scratch=scratch)
     assert bits(buffered) == bits(reference_call_price(*columns))

@@ -439,7 +439,7 @@ def test_hedge_collapsed_strikes_fail(capsys):
         "sim-summary-overflow",
         "huge-vol",
         "sim-huge-vol",
-        "percentage-overflow",
+        "huge-carry-below-worth-floor",
         "call-worth-less-than-strike-rounding",
         "sim-call-worth-less-than-strike-rounding",
     ],
@@ -450,6 +450,36 @@ def test_hedge_non_finite_result_fails(argv, capsys):
     assert rc == 1
     assert err.startswith("error:")
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--vol", "1e-70"], "replication system overflows: "),
+        (
+            ["--vol", "2.480500378834676e-56", "--Kd", "45.011828025612",
+             "--Kc", "45.39214139328809", "--Ku", "50.91601385657382"],
+            "replication system overflows: ",
+        ),
+        (
+            ["-K", "4e272", "--Kd", "3.2e272", "--Kc", "4e272", "--Ku", "4.8e272",
+             "-r", "-7", "-q", "-8", "--spotTh", "4e305"],
+            "hedged call is worth 1.25e+307: its percentages leave the float range",
+        ),
+    ],
+    ids=[
+        # the determinant is inf - inf: the system overflowed, it is not singular
+        "nan-determinant",
+        # the determinant is inf and every Cramer column a finite 0.0
+        "infinite-determinant-zero-weights",
+        "percentages-beyond-float-range",
+    ],
+)
+def test_hedge_overflow_names_its_check(argv, message, capsys):
+    rc, out, err = run(["hedge", *argv], capsys)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith(f"error: {message}")
 
 
 def test_hedge_point_report(capsys):

@@ -25,10 +25,8 @@ from dualpricer import (
     lattice_delta,
     lattice_gamma,
     lattice_price,
-    lattice_valuation,
     price_currency_put_approx,
     price_via_dual,
-    put_price,
     to_dual,
     lattice,
     valuation_via_dual,
@@ -154,7 +152,7 @@ def test_tree_duality_property(contract):
     # of 8.9e-11, 0.76 and 6.5e-10 over 4,000 random contracts
     spec, mkt, steps = contract
     try:
-        price, delta, gamma = lattice_valuation(spec, mkt, steps)
+        price, delta, gamma = LatticeEngine(steps).valuation(spec, mkt)
         via_price, via_delta, via_gamma = valuation_via_dual(spec, mkt, LatticeEngine(steps))
     except PricingError:
         assume(False)
@@ -220,9 +218,8 @@ def test_dual_delta_is_strike_derivative():
 
 
 def put_value(mkt, strike, maturity):
-    return float(
-        put_price(mkt.spot, strike, mkt.rate, mkt.dividend_yield, mkt.vol, maturity)
-    )
+    put = spec_of(OptionRight.PUT, ExerciseStyle.EUROPEAN, strike, maturity)
+    return bsm_valuation(put, mkt)[0]
 
 
 def test_currency_put_exact_when_rate_zero():

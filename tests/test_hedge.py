@@ -56,6 +56,8 @@ def test_default_config_values():
         {"mid_maturity": 0.7},
         {"vol": 0.0},
         {"vol": 1e300},
+        {"wing_maturity": 0.5},  # expires with the target
+        {"mid_maturity": 0.5},
     ],
 )
 def test_config_rejects_bad_orderings(bad):

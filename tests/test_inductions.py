@@ -24,7 +24,6 @@ from dualpricer import (
     lattice_delta,
     lattice_gamma,
     lattice_price,
-    lattice_valuation,
     price_via_dual,
     tables,
 )
@@ -134,7 +133,10 @@ def test_valuation_equals_separate_calls(spec, mkt):
         lattice._nodes.cache_clear()
         return value(spec, mkt, steps)
 
-    assert fresh(lattice_valuation) == (
+    def valuation(spec, mkt, steps):
+        return LatticeEngine(steps).valuation(spec, mkt)
+
+    assert fresh(valuation) == (
         fresh(lattice_price),
         fresh(lattice_delta),
         fresh(lattice_gamma),

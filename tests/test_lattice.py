@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dualpricer import (
@@ -317,3 +317,60 @@ def test_overflow_in_a_batch_names_its_tree():
     with pytest.raises(PricingError, match=named):
         lattice_prices(pairs, 100)
     assert lattice_prices(pairs[:1], 100) == [lattice_price(*pairs[0], 100)]
+
+
+def log10_uniform(low, high):
+    """10 to a power drawn from [low, high]."""
+    return st.floats(low, high).map(lambda power: 10.0**power)
+
+
+@st.composite
+def extreme_trees(draw):
+    """Trees at the edges of the float range: spots from 1e-320 to 1e308,
+    |r| and |q| up to 3,000, 1 to 50 steps, both rights and styles.  The
+    vol is drawn above |r - q| sqrt(dt), so that most trees admit no
+    arbitrage."""
+    steps = draw(st.integers(1, 50))
+    maturity = draw(log10_uniform(-4.0, 1.0))
+    rate, dividend_yield = draw(st.floats(-3000.0, 3000.0)), draw(st.floats(-3000.0, 3000.0))
+    least = abs(rate - dividend_yield) * math.sqrt(maturity / steps)
+    vol = least * draw(log10_uniform(0.0, 2.0)) + draw(log10_uniform(-3.0, 1.0))
+    spot = draw(log10_uniform(-320.0, 308.0))
+    strike = spot if draw(st.booleans()) else draw(log10_uniform(-320.0, 308.0))
+    spec = OptionSpec(
+        draw(st.sampled_from(OptionRight)), draw(st.sampled_from(ExerciseStyle)), strike, maturity
+    )
+    return spec, MarketState(spot, rate, dividend_yield, vol), steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(extreme_trees())
+# the discount e^60 a step overflows the nodes well before step 2
+@example((american(OptionRight.PUT, 1e300), MarketState(1e300, -3000.0, -3000.0, 1.0), 50))
+@example(
+    (
+        OptionSpec(OptionRight.CALL, ExerciseStyle.EUROPEAN, 1e300, 1.0),
+        MarketState(1e300, -3000.0, -3000.0, 1.0),
+        50,
+    )
+)
+def test_a_step_node_out_of_range_leaves_the_root_out_of_range(tree):
+    # why lattice checks the root alone: a node is discount * (p * up +
+    # (1 - p) * down), every factor >= 0, so inf or NaN reaches the root
+    spec, mkt, steps = tree
+    try:
+        params = build_lattice(mkt, spec.maturity, steps)
+    except PricingError:
+        assume(False)
+    nodes = _crr_numpy.induct(
+        (mkt.spot,),
+        (spec.strike,),
+        params.up,
+        (params.prob_up,),
+        (math.exp(-mkt.rate * params.dt),),
+        steps,
+        (spec.right is OptionRight.CALL,),
+        spec.style is ExerciseStyle.AMERICAN,
+    )[0]
+    if not all(map(math.isfinite, nodes[: 6 if steps >= 2 else 3])):
+        assert not math.isfinite(nodes[0])

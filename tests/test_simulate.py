@@ -130,8 +130,11 @@ def test_mhe_dispersion_shrinks_with_more_paths():
 def test_config_validation():
     with pytest.raises(PricingError):
         sim(paths=0)
-    with pytest.raises(PricingError):
-        sim(spot=-1.0)
+    # the spot comes from outside the program: it is refused when the run is
+    # set up, with its own message, before anything is valued at it
+    for spot in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(PricingError, match="spot must be positive and finite"):
+            sim(spot=spot)
 
 
 def test_path_count_is_capped():
