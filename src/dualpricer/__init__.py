@@ -27,13 +27,7 @@ from .duality import (
     to_dual,
     valuation_via_dual,
 )
-from .errors import (
-    HedgeConstraintError,
-    NoArbitrageError,
-    PricingError,
-    SingularHedgeSystem,
-    UnsupportedStyleError,
-)
+from .errors import PricingError
 from .hedge import (
     HedgeConfig,
     HedgeReport,

@@ -1,29 +1,10 @@
-"""Exception types shared by the pricing and hedging modules."""
+"""The one exception type of the pricing and hedging modules.
+
+Every rejected input or failed numerical step raises ``PricingError``,
+and its message names the check that failed.  Callers catch this one
+type, so it has no subclasses.
+"""
 
 
 class PricingError(ValueError):
     """Invalid market data, contract terms, or a failed numerical step."""
-
-
-class UnsupportedStyleError(PricingError):
-    """An engine was asked to price an exercise style it cannot handle."""
-
-
-class NoArbitrageError(PricingError):
-    """Lattice parameters admit arbitrage (growth factor outside (d, u))."""
-
-
-class HedgeConstraintError(PricingError):
-    """A hedge configuration violates its strike or maturity ordering."""
-
-
-class SingularHedgeSystem(PricingError):
-    """The 3x3 replication system has no unique solution.
-
-    The offending determinant is kept on the exception so callers can
-    report how close to singular the system was.
-    """
-
-    def __init__(self, message: str, determinant: float):
-        super().__init__(message)
-        self.determinant = determinant

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .analytic import call_price
-from .errors import HedgeConstraintError, PricingError, SingularHedgeSystem
+from .errors import PricingError
 
 __all__ = [
     "HedgeScheme",
@@ -84,33 +84,33 @@ class HedgeConfig:
         for field in fields(self):
             value = getattr(self, field.name)
             if not math.isfinite(value):
-                raise HedgeConstraintError(f"{field.name} must be finite, got {value}")
+                raise PricingError(f"{field.name} must be finite, got {value}")
         if not (self.strike_low > 0 and self.target_strike > 0):
-            raise HedgeConstraintError("strikes must be positive")
+            raise PricingError("strikes must be positive")
         if not self.strike_low < self.target_strike < self.strike_high:
-            raise HedgeConstraintError(
+            raise PricingError(
                 "strike ordering violated: need strike_low < target_strike "
                 f"< strike_high, got {self.strike_low} / {self.target_strike} "
                 f"/ {self.strike_high}"
             )
         if not self.strike_low <= self.strike_mid <= self.strike_high:
-            raise HedgeConstraintError(
+            raise PricingError(
                 "strike ordering violated: strike_mid must lie in "
                 f"[{self.strike_low}, {self.strike_high}], got {self.strike_mid}"
             )
         if not 0 < self.horizon <= min(self.wing_maturity, self.mid_maturity):
-            raise HedgeConstraintError(
+            raise PricingError(
                 "maturity ordering violated: need 0 < horizon <= "
                 f"min(wing, mid) maturity, got horizon {self.horizon} vs "
                 f"({self.wing_maturity}, {self.mid_maturity})"
             )
         if not max(self.wing_maturity, self.mid_maturity) < self.target_maturity:
-            raise HedgeConstraintError(
+            raise PricingError(
                 "maturity ordering violated: hedging options must expire "
                 f"before the target at {self.target_maturity}"
             )
         if not 0 < self.vol < math.sqrt(sys.float_info.max):
-            raise HedgeConstraintError(
+            raise PricingError(
                 f"vol must be positive with a finite square, got {self.vol}"
             )
 
@@ -130,7 +130,6 @@ class HedgeWeights:
     w_low: float
     w_mid: float
     w_high: float
-    scheme: HedgeScheme
     determinant: float
 
 
@@ -212,9 +211,7 @@ def solve_weights(cfg: HedgeConfig, scheme: HedgeScheme) -> HedgeWeights:
     if not math.isfinite(det):  # inf, or NaN from inf - inf
         raise _overflow(hs)
     if not abs(det) >= 1e-12:
-        raise SingularHedgeSystem(
-            f"replication system is singular (determinant {det:.3e})", det
-        )
+        raise PricingError(f"replication system is singular (determinant {det:.3e})")
     cols = []
     for k in range(3):
         replaced = [
@@ -223,7 +220,7 @@ def solve_weights(cfg: HedgeConfig, scheme: HedgeScheme) -> HedgeWeights:
         cols.append(_det3(replaced) / det)
     if not all(map(math.isfinite, cols)):
         raise _overflow(hs)
-    return HedgeWeights(cols[0], cols[1], cols[2], scheme, det)
+    return HedgeWeights(cols[0], cols[1], cols[2], det)
 
 
 def _overflow(hs) -> PricingError:
@@ -253,7 +250,7 @@ def _valued(cfg: HedgeConfig, weight_sets, spots, at_horizon: bool, work=None):
     """
     if at_horizon:
         if cfg.horizon >= min(cfg.wing_maturity, cfg.mid_maturity):
-            raise HedgeConstraintError(
+            raise PricingError(
                 "valuation needs the horizon strictly before the nearest "
                 f"hedging expiry, got {cfg.horizon}"
             )

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from . import _crr_numpy as _kernel
 from .analytic import ExerciseStyle, MarketState, OptionRight, OptionSpec
-from .errors import NoArbitrageError, PricingError
+from .errors import PricingError
 
 # The kernel's name; with lattice_delta/gamma, kept only for the benchmark.
 BACKEND = "numpy"
@@ -63,7 +63,6 @@ __all__ = [
 class LatticeParams:
     """Per-step tree parameters: u d = 1 and d < e^{(r-q) dt} < u."""
 
-    steps: int
     up: float
     down: float
     prob_up: float
@@ -104,12 +103,12 @@ def build_lattice(mkt: MarketState, maturity: float, steps: int) -> LatticeParam
     # e^drift overflows only where it far exceeds u: an arbitrage step.
     growth = math.exp(drift) if drift < _LOG_MAX else math.inf
     if not down < growth < up:
-        raise NoArbitrageError(
+        raise PricingError(
             f"no-arbitrage violation: e^((r-q) dt) = {growth:.6f} outside "
             f"(d, u) = ({down:.6f}, {up:.6f}); vol too small for |r-q| at this dt"
         )
     prob_up = (growth - down) / (up - down)
-    return LatticeParams(steps, up, down, prob_up, dt)
+    return LatticeParams(up, down, prob_up, dt)
 
 
 @functools.lru_cache(maxsize=1)

@@ -64,7 +64,6 @@ _PRICING_MATURITY = 1.0
 
 @dataclass(frozen=True)
 class TableData:
-    name: str
     title: str
     headers: tuple[str, ...]
     formats: tuple[str, ...]
@@ -112,7 +111,6 @@ def table1(steps: int = 365) -> TableData:
             )
         )
     return TableData(
-        name="t1",
         title="American put vs dual call, tree with daily steps",
         headers=(
             "put_spot",
@@ -155,7 +153,6 @@ def table2(steps: int = 365) -> TableData:
                 )
             )
     return TableData(
-        name="t2",
         title="American put Greeks, direct tree vs dual-call recovery",
         headers=(
             "greek",
@@ -192,7 +189,6 @@ def table3(steps: int = 365) -> TableData:
             )
         )
     return TableData(
-        name="t3",
         title="American currency put vs closed-form approximation, foreign rate 6%",
         headers=(
             "rate",
@@ -219,7 +215,7 @@ def _weight_sets():
     return tuple(solve_weights(DEFAULT_HEDGE, s) for s in HedgeScheme)
 
 
-def _hedge_table(name, title, lead, columns, suffix, pairs) -> TableData:
+def _hedge_table(title, lead, columns, suffix, pairs) -> TableData:
     """A t4-t6 table: lead columns, then a value and a percent per scheme.
 
     ``lead`` holds the (header, format) of each lead column and ``columns``
@@ -233,14 +229,13 @@ def _hedge_table(name, title, lead, columns, suffix, pairs) -> TableData:
         formats += [".3f", ".2f"]
         columns += pair
     body = zip(*(column.tolist() for column in columns))
-    return TableData(name, title, tuple(headers), tuple(formats), tuple(body))
+    return TableData(title, tuple(headers), tuple(formats), tuple(body))
 
 
 def table4() -> TableData:
     """Gross hedge error and the hedged call across horizon spots."""
     pairs, hedged = gross_error(DEFAULT_HEDGE, _weight_sets(), _HEDGE_SPOTS)
     return _hedge_table(
-        "t4",
         "Gross hedge errors at the end of the hedge period",
         (("spot_at_horizon", "g"), ("hedged_call", ".3f")),
         [_HEDGE_SPOTS, hedged],
@@ -253,7 +248,6 @@ def table5() -> TableData:
     """Net cost of the hedge and the hedged call at setup across starting spots."""
     pairs, hedged = net_cost(DEFAULT_HEDGE, _weight_sets(), _HEDGE_SPOTS)
     return _hedge_table(
-        "t5",
         "Net costs of the hedge at setup",
         (("spot_at_0", "g"), ("hedged_call", ".3f")),
         [_HEDGE_SPOTS, hedged],
@@ -267,7 +261,6 @@ def table6() -> TableData:
     starts, horizons = np.repeat(_TRUE_ERROR_SPOTS, 3), np.tile(_TRUE_ERROR_SPOTS, 3)
     reports = true_error(DEFAULT_HEDGE, _weight_sets(), starts, horizons)
     return _hedge_table(
-        "t6",
         "True hedge errors with known start and horizon spots",
         (("spot_at_0", "g"), ("spot_at_horizon", "g")),
         [starts, horizons],
@@ -302,7 +295,6 @@ def table7(seed: int = 42, paths: int = 10_000) -> TableData:
             rows.append((cfg.drift, cfg.spot))
         rows[-1] += (summary.mhe_pct, summary.mae_pct, summary.rmse)
     return TableData(
-        name="t7",
         title=f"Simulated true hedge errors ({paths} paths, seed {seed})",
         headers=tuple(headers),
         formats=tuple(formats),

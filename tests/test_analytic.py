@@ -16,7 +16,6 @@ from dualpricer import (
     OptionRight,
     OptionSpec,
     PricingError,
-    UnsupportedStyleError,
     bsm_valuation,
     call_price,
     to_dual,
@@ -147,7 +146,7 @@ def test_valuation_beyond_float_range_raises(mkt, strike, right):
 def test_rejects_american_style():
     mkt = MarketState(40.0, 0.06, 0.0, 0.40)
     spec = OptionSpec(OptionRight.PUT, ExerciseStyle.AMERICAN, 40.0, 1.0)
-    with pytest.raises(UnsupportedStyleError):
+    with pytest.raises(PricingError, match="European only"):
         bsm_valuation(spec, mkt)
 
 

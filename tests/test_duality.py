@@ -17,7 +17,6 @@ from dualpricer import (
     OptionRight,
     OptionSpec,
     PricingError,
-    UnsupportedStyleError,
     bsm_valuation,
     call_price,
     delta_via_dual,
@@ -282,5 +281,5 @@ def test_currency_put_rejects_other_contracts():
 def test_analytic_engine_rejects_american_via_dual():
     spec = spec_of(OptionRight.PUT, ExerciseStyle.AMERICAN)
     mkt = MarketState(40.0, 0.06, 0.0, 0.40)
-    with pytest.raises(UnsupportedStyleError):
+    with pytest.raises(PricingError, match="European only"):
         price_via_dual(spec, mkt, AnalyticEngine())

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -12,11 +13,9 @@ from hypothesis import strategies as st
 
 from dualpricer import (
     HedgeConfig,
-    HedgeConstraintError,
     HedgeScheme,
     HedgeWeights,
     PricingError,
-    SingularHedgeSystem,
     call_price,
     dual_coefficients,
     gross_error,
@@ -61,7 +60,7 @@ def test_default_config_values():
     ],
 )
 def test_config_rejects_bad_orderings(bad):
-    with pytest.raises(HedgeConstraintError):
+    with pytest.raises(PricingError):
         replace(DEFAULT_HEDGE, **bad)
 
 
@@ -69,10 +68,10 @@ def test_horizon_may_touch_wing_expiry_for_solving_only():
     cfg = replace(DEFAULT_HEDGE, horizon=DEFAULT_HEDGE.wing_maturity)
     weights = solve_weights(cfg, HedgeScheme.BSM_DUAL)
     assert math.isfinite(weights.w_mid)
-    with pytest.raises(HedgeConstraintError):
+    with pytest.raises(PricingError, match="strictly before the nearest hedging expiry"):
         gross_error(cfg, (weights,), 50.0)
     ((cost, _),), _ = net_cost(cfg, (weights,), 50.0)
-    with pytest.raises(HedgeConstraintError):
+    with pytest.raises(PricingError, match="strictly before the nearest hedging expiry"):
         true_errors(cfg, [weights], [cost], np.array([50.0]))
 
 
@@ -97,7 +96,6 @@ def test_coefficients_vanish_without_carry():
 
 def test_full_scheme_weights():
     w = solve_weights(DEFAULT_HEDGE, HedgeScheme.BSM_DUAL)
-    assert w.scheme is HedgeScheme.BSM_DUAL
     assert w.w_low == pytest.approx(0.21841301502212798, rel=1e-12)
     assert w.w_mid == pytest.approx(0.6323380913794179, rel=1e-12)
     assert w.w_high == pytest.approx(0.1456086766814187, rel=1e-12)
@@ -111,7 +109,6 @@ def test_full_scheme_weights():
 
 def test_zero_rate_scheme_weights_are_elevenths():
     w = solve_weights(DEFAULT_HEDGE, HedgeScheme.WU_ZHU)
-    assert w.scheme is HedgeScheme.WU_ZHU
     assert w.w_low == pytest.approx(2.0 / 11.0, abs=1e-12)
     assert w.w_mid == pytest.approx(7.0 / 11.0, abs=1e-12)
     assert w.w_high == pytest.approx(2.0 / 11.0, abs=1e-12)
@@ -177,7 +174,9 @@ def test_weight_system_residual_property(cfg, scheme):
         co = dual_coefficients(cfg)
     try:
         w = solve_weights(cfg, scheme)
-    except SingularHedgeSystem:
+    except PricingError as exc:
+        if "singular" not in str(exc):
+            raise
         return
     weights = (w.w_low, w.w_mid, w.w_high)
     hs = (co.h_low, co.h_mid, co.h_high)
@@ -211,9 +210,10 @@ def test_collapsed_strikes_make_system_singular():
     cfg = replace(
         DEFAULT_HEDGE, strike_low=50.0 - 1e-12, strike_high=50.0 + 1e-12
     )
-    with pytest.raises(SingularHedgeSystem) as exc:
+    with pytest.raises(PricingError, match="singular") as exc:
         solve_weights(cfg, HedgeScheme.BSM_DUAL)
-    assert abs(exc.value.determinant) < 1e-12
+    determinant = float(re.search(r"determinant (\S+)\)", str(exc.value))[1])
+    assert abs(determinant) < 1e-12
 
 
 GROSS_ROWS = {
@@ -435,7 +435,7 @@ def test_hedged_call_worth_less_than_strike_rounding_is_rejected():
 
 def test_empty_portfolio_loses_the_target():
     cfg = DEFAULT_HEDGE
-    none = HedgeWeights(0.0, 0.0, 0.0, HedgeScheme.BSM_DUAL, 1.0)
+    none = HedgeWeights(0.0, 0.0, 0.0, 1.0)
     ((e, pct),), _ = gross_error(cfg, (none,), 60.0)
     assert pct == pytest.approx(-100.0, abs=1e-12)
     assert e < 0

@@ -1,6 +1,7 @@
 """What importing the package loads, how its lazy names resolve, and what
 reads each name it exports."""
 
+import ast
 import inspect
 import os
 import re
@@ -108,21 +109,17 @@ READERS = {
     "ExerciseStyle": "src/dualpricer/cli.py",
     "Exactness": "price_currency_put_approx",
     "HedgeConfig": "src/dualpricer/cli.py",
-    "HedgeConstraintError": "src/dualpricer/hedge.py",
     "HedgeReport": "true_error",
     "HedgeScheme": "src/dualpricer/cli.py",
     "HedgeWeights": "solve_weights",
     "LatticeEngine": "src/dualpricer/cli.py",
     "LatticeParams": "build_lattice",
     "MarketState": "src/dualpricer/cli.py",
-    "NoArbitrageError": "src/dualpricer/lattice.py",
     "OptionRight": "src/dualpricer/cli.py",
     "OptionSpec": "src/dualpricer/cli.py",
     "PricingError": "src/dualpricer/cli.py",
     "SimConfig": "src/dualpricer/cli.py",
     "SimSummary": "run_hedge_sim",
-    "SingularHedgeSystem": "src/dualpricer/hedge.py",
-    "UnsupportedStyleError": "src/dualpricer/analytic.py",
     "bsm_valuation": "src/dualpricer/duality.py",
     "build_lattice": "perfbench/tracer.py",
     "call_price": "src/dualpricer/tables.py",
@@ -151,13 +148,16 @@ READERS = {
 }
 
 
-def test_export_list():
-    public = dualpricer._SIMULATE | {
+def public_names():
+    return dualpricer._SIMULATE | {
         name
         for name, value in vars(dualpricer).items()
         if not name.startswith("_") and not inspect.ismodule(value)
     }
-    assert sorted(public) == sorted(READERS)
+
+
+def test_export_list():
+    assert sorted(public_names()) == sorted(READERS)
     modules = (analytic, duality, errors, hedge, lattice, simulate)
     for name, reader in READERS.items():
         value = getattr(dualpricer, name)
@@ -178,3 +178,40 @@ def test_export_list():
             assert name in function.__code__.co_names
         else:
             assert any(map(word.search, function.__annotations__.values())), name
+
+
+def caught_names(path):
+    """The names in the ``except`` clauses of one file: ``E`` for both
+    ``except E`` and ``except dp.E``, and each member of a tuple."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            for part in ast.walk(node.type):
+                if isinstance(part, ast.Name):
+                    names.add(part.id)
+                elif isinstance(part, ast.Attribute):
+                    names.add(part.attr)
+    return names
+
+
+def test_every_exported_exception_is_caught():
+    # a rejection is told apart by its message, so an exported exception
+    # class is one that a program catches: an except clause outside its
+    # own module, in src/ or perfbench/ (tests excluded), must name it
+    files = [
+        path
+        for folder in (ROOT / "src", ROOT / "perfbench")
+        for path in folder.rglob("*.py")
+        if not path.name.startswith("test_")
+    ]
+    exceptions = [
+        name
+        for name in sorted(public_names())
+        if isinstance(value := getattr(dualpricer, name), type)
+        and issubclass(value, BaseException)
+    ]
+    assert "PricingError" in exceptions
+    for name in exceptions:
+        own = Path(sys.modules[getattr(dualpricer, name).__module__].__file__).resolve()
+        catchers = [p for p in files if p.resolve() != own and name in caught_names(p)]
+        assert catchers, f"{name} is exported but no except clause names it"

@@ -46,7 +46,6 @@ def test_builder_registry():
 
 def test_table1_matches_engine_calls():
     table = TABLE_BUILDERS["t1"](steps=60)
-    assert table.name == "t1"
     assert table.headers[0] == "put_spot"
     assert len(table.rows) == 5
     engine = LatticeEngine(60)
